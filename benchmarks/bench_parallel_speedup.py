@@ -1,9 +1,10 @@
 """Parallel planning speedup and the phase-level cost breakdown.
 
 Times the same batch of chain-workload plan tasks through
-:func:`repro.parallel.plan_map` at 4, 2, and 1 workers — **in that
-order**, so the forked pools never inherit a parent process whose warm
-context pool was populated by the serial run — and reports
+:func:`repro.parallel.plan_map` — the sweep fan-out on the supervised
+worker pool — at 4, 2, and 1 workers, **in that order**, so the forked
+workers never inherit a parent process warmed by the serial run, and
+reports
 ``parallel_speedup_x2`` / ``parallel_speedup_x4`` plus the merged
 ``phase_fraction_*`` breakdown of where planning time actually goes.
 
@@ -51,8 +52,8 @@ def _wall(tasks, workers):
 def test_parallel_speedup(benchmark):
     tasks = _tasks()
 
-    # Parallel walls first: the pools fork from a parent that has not
-    # planned yet, so their context pools start cold like the serial run.
+    # Parallel walls first: the workers fork from a parent that has not
+    # planned yet, so they start cold like the serial run.
     wall_x4, results = _wall(tasks, 4)
     wall_x2, _ = _wall(tasks, 2)
     wall_serial, serial_results = _wall(tasks, 1)

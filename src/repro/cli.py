@@ -601,22 +601,29 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     requests = parse_requests(lines, views, default_budget=_build_budget(args))
 
     engine = None
-    if args.workers != 1:
-        # 0 = auto (one worker per CPU).  The engine materializes and
-        # validates every request before the first outcome; the serial
-        # path below streams outcomes until an intake error aborts it.
-        from .parallel import ParallelPlanningEngine, ParallelPolicy
+    # 0 = auto (one worker per CPU).
+    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    if workers > 1:
+        # The engine materializes and validates every request before the
+        # first outcome; the serial path below streams outcomes until an
+        # intake error aborts it.
+        from .parallel import (
+            ParallelPlanningEngine,
+            SupervisorPolicy,
+            WorkerConfig,
+        )
 
         engine = ParallelPlanningEngine(
-            policy,
-            parallel=ParallelPolicy(
-                workers=None if args.workers == 0 else args.workers,
-                task_grace_seconds=args.task_grace,
+            WorkerConfig(
+                policy=policy,
+                cache_dir=args.cache,
+                cache_ttl=args.cache_ttl,
+                strict_cache=args.strict_cache,
+                profile=args.profile,
             ),
-            cache_dir=args.cache,
-            cache_ttl=args.cache_ttl,
-            strict_cache=args.strict_cache,
-            profile=args.profile,
+            policy=SupervisorPolicy(
+                workers=workers, task_grace_seconds=args.task_grace
+            ),
         )
         outcomes = engine.run(requests)
     else:
@@ -650,24 +657,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
             for rewriting in outcome.rewritings:
                 print("   ", rewriting)
-    if engine is not None and engine.fell_back_to_serial:
-        print(
-            f"batch: ran in-process ({engine.fallback_reason})",
-            file=sys.stderr,
-        )
     if engine is not None and args.profile:
         # One JSON line so scripts can read the warm-context economics:
         # exact root matches, small-delta upgrades, and cold starts.
         print(
-            json.dumps(
-                {
-                    "context_pool": {
-                        "hits": engine.pool_hits,
-                        "delta_hits": engine.pool_delta_hits,
-                        "misses": engine.pool_misses,
-                    }
-                }
-            ),
+            json.dumps({"context_pool": engine.pool.stats()["pool"]}),
             file=sys.stderr,
         )
     print(
@@ -729,7 +723,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         ),
         supervisor=SupervisorPolicy(
             workers=args.workers,
-            pool_size=args.pool_size,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_grace=args.heartbeat_grace,
             recycle_after_requests=args.recycle_after,
@@ -1203,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--task-grace", type=float, default=5.0, metavar="SECONDS",
         help="extra seconds past a request's deadline before its worker "
-             "is declared dead (exit 77 outcome for that request)",
+             "is declared hung (exit 77 outcome for that request)",
     )
     batch.add_argument(
         "--profile", action="store_true",

@@ -1,33 +1,31 @@
-"""Process-pool parallel planning: batch fan-out and warm context pools.
+"""Process-pool parallel planning on one supervised worker pool.
 
 Public surface:
 
+* :class:`SupervisedWorkerPool` / :class:`SupervisorPolicy` — the only
+  process pool: heartbeat supervision, crash isolation with restart,
+  recycling, drain-aware shutdown.  The :mod:`repro.serve` daemon keeps
+  one for its whole residency; the two drivers below start one per run.
 * :class:`ParallelPlanningEngine` — ``repro batch --workers N``: fans
-  service-layer requests across a process pool, outcomes in input
-  order, with per-worker warm planner-context pools, breaker-delta
-  merging, and per-task crash isolation.
+  service-layer requests across the pool, outcomes in input order, with
+  per-worker warm planner-context pools, breaker-delta merging, and
+  per-task crash isolation.
 * :func:`plan_map` — the experiment harness's lighter fan-out of bare
   ``plan()`` calls.
 * :class:`PlannerContextPool` / :func:`catalog_fingerprint` — the warm
-  context pool and its structured, delta-aware catalog fingerprint
-  (:func:`context_fingerprint` is the legacy whole-catalog string key).
-* :class:`SupervisedWorkerPool` / :class:`SupervisorPolicy` — the
-  :mod:`repro.serve` daemon's long-lived pool: heartbeat supervision,
-  crash isolation with restart, recycling, drain-aware shutdown.
+  context pool and its structured, delta-aware catalog fingerprint.
 """
 
-from .engine import (
+from .engine import ParallelPlanningEngine, plan_map
+from .supervisor import (
     BreakerScoreboard,
-    ParallelPlanningEngine,
-    ParallelPolicy,
-    plan_map,
+    SupervisedWorkerPool,
+    SupervisorPolicy,
 )
-from .supervisor import SupervisedWorkerPool, SupervisorPolicy
 from .pool import (
     CatalogFingerprint,
     PlannerContextPool,
     catalog_fingerprint,
-    context_fingerprint,
 )
 from .worker import (
     PlanTask,
@@ -44,7 +42,6 @@ __all__ = [
     "BreakerScoreboard",
     "CatalogFingerprint",
     "ParallelPlanningEngine",
-    "ParallelPolicy",
     "PlanTask",
     "PlanTaskResult",
     "PlannerContextPool",
@@ -55,7 +52,6 @@ __all__ = [
     "WorkerState",
     "WorkerTask",
     "catalog_fingerprint",
-    "context_fingerprint",
     "crash_outcome",
     "plan_map",
     "run_plan_task",

@@ -1,146 +1,73 @@
-"""The process-pool planning engine (``repro batch --workers N``).
+"""Batch and sweep drivers over the supervised worker pool.
 
-:class:`ParallelPlanningEngine` fans a batch of
-:class:`~repro.service.executor.PlanRequest` objects across a
-``multiprocessing`` pool and yields
-:class:`~repro.service.executor.ExecutionOutcome` objects **in input
-order** — byte-identical text output to the serial path, whatever the
-completion order.
-
-Design points:
-
-* **Dispatch** — every task is submitted up front (``apply_async``) and
-  results are collected in order; workers pull tasks as they free up,
-  so input order never serializes execution.
-* **Isolation** — a worker that dies (OOM-kill, segfault, chaos
-  ``ExitFault``) loses only the task it was running.  Its result never
-  arrives, the per-task timeout (request deadline + grace) expires, and
-  that one request yields a ``failed`` outcome carrying
-  :class:`~repro.errors.WorkerCrashError`; the pool replaces the worker
-  and every other request proceeds.  A request with no deadline and no
-  ``default_task_timeout`` waits indefinitely — give batch requests
-  deadlines.
-* **Same semantics as serial** — input errors re-raise in the parent
-  with their taxonomy exit codes; per-worker breaker deltas merge into
-  a parent :class:`BreakerScoreboard`; warm-context pool hits are
-  counted.  When ``workers`` resolves to 1 (or the workload cannot be
-  pickled) the engine degrades to the in-process serial path —
-  ``fell_back_to_serial``/``fallback_reason`` say so.
-* **plan_map** — the experiment harness's lighter fan-out: bare
-  ``plan()`` calls, no service layer, results in input order.
+:class:`ParallelPlanningEngine` (``repro batch --workers N``) and
+:func:`plan_map` (the experiment sweeps) start a
+:class:`~repro.parallel.supervisor.SupervisedWorkerPool`, submit their
+tasks to it, and yield results **in input order** — byte-identical text
+output to the serial path, whatever the completion order.  Crash
+isolation, timeouts, and breaker and context-pool accounting are the
+pool's: a worker that dies mid-task fails only that task, with
+:class:`~repro.errors.WorkerCrashError`, whether or not the request
+carries a deadline.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import Future
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..errors import WorkerCrashError
 from ..service.executor import ExecutionOutcome, PlanRequest
-from ..service.policy import ServicePolicy
 from ..testing.faults import Fault
+from .pool import PlannerContextPool
+from .supervisor import SupervisedWorkerPool, SupervisorPolicy
 from .worker import (
     PlanTask,
     PlanTaskResult,
     WorkerConfig,
     WorkerResult,
-    WorkerState,
     WorkerTask,
-    _init_plan_worker,
-    _init_worker,
-    _run_task,
-    crash_outcome,
     run_plan_task,
 )
 
-__all__ = [
-    "BreakerScoreboard",
-    "ParallelPlanningEngine",
-    "ParallelPolicy",
-    "plan_map",
-]
+__all__ = ["ParallelPlanningEngine", "plan_map"]
+
+#: Tasks submitted ahead of the one being read, per worker.  ``submit``
+#: pickles each task when it is called, so the window bounds how many
+#: pickled catalogs the parent holds at once.
+_WINDOW_PER_WORKER = 2
 
 
-@dataclass(frozen=True)
-class ParallelPolicy:
-    """How the engine schedules work across processes."""
-
-    #: Worker processes; ``None`` or ``0`` = ``os.cpu_count()``.
-    workers: int | None = None
-    #: Warm planner-context pool entries per worker.
-    pool_size: int = 4
-    #: Extra seconds past a request's deadline before the parent
-    #: declares the worker dead.
-    task_grace_seconds: float = 5.0
-    #: Timeout for requests without a deadline (``None`` = wait forever).
-    default_task_timeout: float | None = None
-    #: Degrade to the in-process path for 1 worker / unpicklable work.
-    serial_fallback: bool = True
-
-
-class BreakerScoreboard:
-    """Per-backend breaker totals merged from worker deltas."""
-
-    def __init__(self) -> None:
-        self.successes: dict[str, int] = {}
-        self.failures: dict[str, int] = {}
-
-    def merge(self, deltas: Mapping[str, tuple[int, int]]) -> None:
-        """Add one task's ``(successes, failures)`` deltas."""
-        for name, (successes, failures) in deltas.items():
-            self.successes[name] = self.successes.get(name, 0) + successes
-            self.failures[name] = self.failures.get(name, 0) + failures
-
-    def summary(self) -> dict[str, dict[str, int]]:
-        """``{backend: {successes, failures}}``, backends sorted."""
-        names = sorted(set(self.successes) | set(self.failures))
-        return {
-            name: {
-                "successes": self.successes.get(name, 0),
-                "failures": self.failures.get(name, 0),
-            }
-            for name in names
-        }
+def _in_order(
+    pool: SupervisedWorkerPool, tasks: Iterable[WorkerTask]
+) -> Iterator[WorkerResult]:
+    """Submit *tasks* to the started *pool*; yield results in input order."""
+    window = _WINDOW_PER_WORKER * pool.policy.workers
+    pending: deque[Future[WorkerResult]] = deque()
+    for task in tasks:
+        pending.append(pool.submit(task))
+        if len(pending) > window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 class ParallelPlanningEngine:
-    """Batch planning over a process pool, outcomes in input order."""
+    """Batch planning on a supervised worker pool, outcomes in input order.
+
+    One engine runs one batch: :meth:`run` starts the pool and shuts it
+    down when the batch ends.  The pool's breaker scoreboard and
+    context-pool counters stay readable afterwards.
+    """
 
     def __init__(
         self,
-        policy: ServicePolicy | None = None,
+        config: WorkerConfig | None = None,
         *,
-        parallel: ParallelPolicy | None = None,
-        cache_dir: str | None = None,
-        cache_ttl: float | None = None,
-        strict_cache: bool = False,
-        profile: bool = False,
+        policy: SupervisorPolicy | None = None,
     ) -> None:
-        self.parallel = parallel if parallel is not None else ParallelPolicy()
-        self.config = WorkerConfig(
-            policy=policy if policy is not None else ServicePolicy(),
-            cache_dir=cache_dir,
-            cache_ttl=cache_ttl,
-            strict_cache=strict_cache,
-            profile=profile,
-            pool_size=self.parallel.pool_size,
-        )
-        self.scoreboard = BreakerScoreboard()
-        self.fell_back_to_serial = False
-        self.fallback_reason: str | None = None
-        self.pool_hits = 0
-        self.pool_delta_hits = 0
-        self.pool_misses = 0
-
-    def resolve_workers(self) -> int:
-        """The effective worker count (``None``/``0`` = CPU count)."""
-        workers = self.parallel.workers
-        if workers is None or workers <= 0:
-            workers = os.cpu_count() or 1
-        return max(1, workers)
+        self.pool = SupervisedWorkerPool(config, policy=policy)
 
     def run(
         self,
@@ -155,103 +82,21 @@ class ParallelPlanningEngine:
         difference from the serial CLI loop: all requests are
         materialized before the first outcome is yielded.
         """
-        items = list(requests)
-        faults = dict(chaos or {})
-        workers = self.resolve_workers()
-        if workers <= 1 and self.parallel.serial_fallback:
-            self.fell_back_to_serial = True
-            self.fallback_reason = "workers=1"
-            yield from self._run_serial(items, faults)
-            return
-        try:
-            pickle.dumps(self.config)
-            if items:
-                pickle.dumps(items[0])
-        except Exception as exc:
-            if not self.parallel.serial_fallback:
-                raise
-            self.fell_back_to_serial = True
-            self.fallback_reason = (
-                f"workload not picklable: {type(exc).__name__}: {exc}"
-            )
-            yield from self._run_serial(items, faults)
-            return
-        yield from self._run_pool(items, workers, faults)
-
-    # -- execution paths ----------------------------------------------------
-    def _run_serial(
-        self,
-        items: Sequence[PlanRequest],
-        faults: Mapping[int, tuple[Fault, ...]],
-    ) -> Iterator[ExecutionOutcome]:
-        state = WorkerState(self.config)
-        for index, request in enumerate(items):
-            task = WorkerTask(
-                index=index,
-                request=request,
-                chaos=tuple(faults.get(index, ())),
-            )
-            yield self._admit(state.run(task))
-
-    def _run_pool(
-        self,
-        items: Sequence[PlanRequest],
-        workers: int,
-        faults: Mapping[int, tuple[Fault, ...]],
-    ) -> Iterator[ExecutionOutcome]:
-        ctx = multiprocessing.get_context()
+        faults = chaos or {}
         tasks = [
             WorkerTask(
                 index=index,
                 request=request,
                 chaos=tuple(faults.get(index, ())),
             )
-            for index, request in enumerate(items)
+            for index, request in enumerate(requests)
         ]
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(self.config,),
-        ) as pool:
-            pending = [pool.apply_async(_run_task, (task,)) for task in tasks]
-            for task, handle in zip(tasks, pending):
-                timeout = self._task_timeout(task.request)
-                try:
-                    result: WorkerResult = handle.get(timeout)
-                except multiprocessing.TimeoutError:
-                    waited = "forever" if timeout is None else f"{timeout:.3f}s"
-                    yield crash_outcome(
-                        task.request,
-                        WorkerCrashError(
-                            f"worker processing request {task.request.id!r} "
-                            f"did not respond within {waited} (crashed or "
-                            "hung); only this request fails",
-                            request_id=task.request.id,
-                        ),
-                    )
-                    continue
-                yield self._admit(result)
-
-    def _task_timeout(self, request: PlanRequest) -> float | None:
-        budget = request.budget
-        if budget is not None and budget.deadline_seconds is not None:
-            return budget.deadline_seconds + self.parallel.task_grace_seconds
-        return self.parallel.default_task_timeout
-
-    def _admit(self, result: WorkerResult) -> ExecutionOutcome:
-        """Merge one worker result into engine state, or re-raise."""
-        if result.error is not None:
-            raise result.error
-        self.scoreboard.merge(result.breaker_deltas)
-        if result.fingerprint:
-            if result.pool_event == "delta":
-                self.pool_delta_hits += 1
-            elif result.pool_hit:
-                self.pool_hits += 1
-            else:
-                self.pool_misses += 1
-        assert result.outcome is not None  # error/outcome is exhaustive
-        return result.outcome
+        with self.pool:
+            for result in _in_order(self.pool, tasks):
+                if result.error is not None:
+                    raise result.error
+                assert result.outcome is not None  # error/outcome is exhaustive
+                yield result.outcome
 
 
 def plan_map(
@@ -260,27 +105,31 @@ def plan_map(
     workers: int | None = None,
     pool_size: int = 4,
 ) -> list[PlanTaskResult]:
-    """Run bare plan tasks across a pool, results in input order.
+    """Run bare plan tasks, results in input order.
 
-    The experiment harness's fan-out: no service layer, no retries —
-    exceptions propagate.  ``workers`` of ``None``/``0`` means
-    ``os.cpu_count()``; 1 (or an unpicklable workload) runs in-process
-    with a fresh warm pool.
+    The experiment harness's fan-out: no service layer, no retries.
+    ``workers`` of ``None``/``0`` means ``os.cpu_count()``; 1 runs
+    in-process on one warm context pool, and exceptions propagate.
+    Across workers, a :class:`~repro.errors.ReproError` is re-raised
+    here; any other exception, and a worker that dies mid-task, raise
+    :class:`~repro.errors.WorkerCrashError`.
     """
-    items = list(tasks)
     count = workers if workers and workers > 0 else (os.cpu_count() or 1)
-    if count > 1 and items:
-        try:
-            pickle.dumps(items[0])
-        except Exception:
-            count = 1
-    if count <= 1 or not items:
-        _init_plan_worker(pool_size)
-        return [run_plan_task(task) for task in items]
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=count,
-        initializer=_init_plan_worker,
-        initargs=(pool_size,),
+    if count <= 1:
+        context_pool = PlannerContextPool(pool_size)
+        return [run_plan_task(task, context_pool) for task in tasks]
+    results: list[PlanTaskResult] = []
+    with SupervisedWorkerPool(
+        WorkerConfig(pool_size=pool_size),
+        policy=SupervisorPolicy(workers=count),
     ) as pool:
-        return pool.map(run_plan_task, items)
+        for result in _in_order(
+            pool, (WorkerTask(index, task) for index, task in enumerate(tasks))
+        ):
+            if result.plan is None:
+                if result.error is not None:
+                    raise result.error
+                assert result.outcome is not None and result.outcome.error
+                raise result.outcome.error
+            results.append(result.plan)
+    return results

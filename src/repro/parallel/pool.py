@@ -7,22 +7,18 @@ of contexts keyed by catalog fingerprint, so that consecutive requests
 against the same catalog reuse the warm memoization state, while
 requests against a different catalog get (and keep) their own.
 
-Two fingerprint granularities coexist:
-
-* :func:`context_fingerprint` — the legacy opaque string: one hash over
-  the whole rendered catalog plus configuration.  Equal-or-nothing.
-* :func:`catalog_fingerprint` — a structured
-  :class:`CatalogFingerprint` carrying the catalog's Merkle-style
-  content root *and* the per-view content hashes (the same hashes
-  :meth:`repro.views.view.ViewCatalog.view_hashes` maintains
-  incrementally).  Because the per-view hashes ride along, the pool can
-  see that a request's catalog differs from a pooled entry's by only a
-  small delta — one view added, one replaced — and **upgrade** the warm
-  context instead of cold-starting: planner memos are keyed on
-  structural content, so a context warmed on catalog version *n* is
-  sound for version *n+1* as-is (see
-  :meth:`~repro.planner.context.PlannerContext.retire_views` for the
-  memory-hygiene half).
+The key is :func:`catalog_fingerprint`, a structured
+:class:`CatalogFingerprint` carrying the catalog's Merkle-style content
+root *and* the per-view content hashes (the same hashes
+:meth:`repro.views.view.ViewCatalog.view_hashes` maintains
+incrementally).  Because the per-view hashes ride along, the pool can
+see that a request's catalog differs from a pooled entry's by only a
+small delta — one view added, one replaced — and **upgrade** the warm
+context instead of cold-starting: planner memos are keyed on structural
+content, so a context warmed on catalog version *n* is sound for version
+*n+1* as-is (see
+:meth:`~repro.planner.context.PlannerContext.retire_views` for the
+memory-hygiene half).
 
 The pool is deliberately tiny (default 4 entries): a worker in a batch
 run sees at most a handful of distinct catalogs, and each warm context
@@ -49,7 +45,6 @@ __all__ = [
     "CatalogFingerprint",
     "PlannerContextPool",
     "catalog_fingerprint",
-    "context_fingerprint",
 ]
 
 
@@ -103,28 +98,6 @@ class CatalogFingerprint:
         )
 
 
-def context_fingerprint(
-    views: Iterable[View],
-    config: Mapping | None = None,
-) -> str:
-    """Legacy whole-catalog content hash (opaque string; equal-or-nothing).
-
-    Two requests share a warm context exactly when their rendered view
-    definitions and configuration (chain, backend, caching flags, ...)
-    are identical; the hash is over a canonical JSON rendering, so key
-    order in *config* does not matter.  Prefer
-    :func:`catalog_fingerprint` where delta-reuse matters.
-    """
-    payload = {
-        "views": [f"{view.name} := {view.definition}" for view in views],
-        "config": dict(config or {}),
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-    )
-    return digest.hexdigest()
-
-
 def catalog_fingerprint(
     views: ViewCatalog | Iterable[View],
     config: Mapping | None = None,
@@ -153,24 +126,23 @@ class _PoolEntry:
     """One pooled context plus what it was warmed on."""
 
     context: PlannerContext
-    fingerprint: CatalogFingerprint | None = None
+    fingerprint: CatalogFingerprint
     #: Name -> ``View`` snapshot of the catalog the context was last
     #: used against — kept so a delta upgrade can hand the exact removed
     #: ``View`` objects to :meth:`PlannerContext.retire_views`.  A
     #: snapshot (not the catalog reference) because catalogs mutate in
-    #: place; ``None`` for legacy string-keyed entries.
-    views: "dict[str, View] | None" = None
+    #: place.
+    views: dict[str, View]
 
 
 class PlannerContextPool:
     """An LRU pool of warm planner contexts, keyed by fingerprint.
 
-    ``acquire`` is the legacy equal-or-nothing path (opaque string
-    keys).  ``acquire_catalog`` is fingerprint-aware: an exact content
-    root match is a *hit*; a pooled entry for the same configuration
-    whose catalog differs by at most ``max_delta_views`` per-view
-    changes is a *delta hit* — the warm context is upgraded in place
-    (re-keyed, removed views retired) instead of cold-starting.
+    ``acquire_catalog`` is fingerprint-aware: an exact content root
+    match is a *hit*; a pooled entry for the same configuration whose
+    catalog differs by at most ``max_delta_views`` per-view changes is
+    a *delta hit* — the warm context is upgraded in place (re-keyed,
+    removed views retired) instead of cold-starting.
     """
 
     def __init__(
@@ -199,27 +171,6 @@ class PlannerContextPool:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-    def acquire(
-        self,
-        fingerprint: str,
-        factory: Callable[[], PlannerContext] | None = None,
-    ) -> tuple[PlannerContext, bool]:
-        """The warm context for *fingerprint*, plus whether it was a hit.
-
-        A miss builds a fresh context (via the per-call *factory* when
-        given, else the pool's) and may evict the least-recently-used
-        entry to stay within ``max_entries``.
-        """
-        entry = self._entries.get(fingerprint)
-        if entry is not None:
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            return entry.context, True
-        self.misses += 1
-        context = (factory or self._factory)()
-        self._store(fingerprint, _PoolEntry(context))
-        return context, False
 
     def acquire_catalog(
         self,
@@ -250,15 +201,14 @@ class PlannerContextPool:
         if upgraded is not None:
             key, entry = upgraded
             del self._entries[key]
-            if entry.views is not None and entry.fingerprint is not None:
-                gone = fingerprint.names_only_in(entry.fingerprint)
-                retired = [
-                    view
-                    for name in gone
-                    if (view := entry.views.get(name)) is not None
-                ]
-                if retired:
-                    entry.context.retire_views(retired)
+            gone = fingerprint.names_only_in(entry.fingerprint)
+            retired = [
+                view
+                for name in gone
+                if (view := entry.views.get(name)) is not None
+            ]
+            if retired:
+                entry.context.retire_views(retired)
             entry.fingerprint = fingerprint
             entry.views = snapshot
             self._store(fingerprint.key, entry)
@@ -279,7 +229,7 @@ class PlannerContextPool:
         best: tuple[int, str, _PoolEntry] | None = None
         for key, entry in self._entries.items():
             pooled = entry.fingerprint
-            if pooled is None or pooled.config_hash != fingerprint.config_hash:
+            if pooled.config_hash != fingerprint.config_hash:
                 continue
             delta = fingerprint.delta(pooled)
             if delta > self.max_delta_views:
@@ -300,6 +250,7 @@ class PlannerContextPool:
         return len(self._entries)
 
     def __contains__(self, fingerprint: object) -> bool:
-        if isinstance(fingerprint, CatalogFingerprint):
-            return fingerprint.key in self._entries
-        return fingerprint in self._entries
+        return (
+            isinstance(fingerprint, CatalogFingerprint)
+            and fingerprint.key in self._entries
+        )

@@ -1,9 +1,12 @@
-"""Long-lived supervised worker pool for the :mod:`repro.serve` daemon.
+"""The supervised worker pool: the one process pool in :mod:`repro.parallel`.
 
-The batch engine (:class:`~repro.parallel.engine.ParallelPlanningEngine`)
-materializes a finite workload, fans it over a ``multiprocessing.Pool``
-and tears the pool down; a resident daemon needs the opposite shape — a
-pool that outlives any one request and *supervises* its workers:
+Every surface that plans in other processes runs on
+:class:`SupervisedWorkerPool`: the :mod:`repro.serve` daemon holds one
+for its whole residency, while ``repro batch --workers N``
+(:class:`~repro.parallel.engine.ParallelPlanningEngine`) and the
+experiment sweeps (:func:`~repro.parallel.engine.plan_map`) start one
+per run and read results back in input order.  The pool *supervises*
+its workers:
 
 * **Heartbeats** — each worker runs a daemon thread stamping a shared
   ``Value('d')`` with ``time.monotonic()`` (system-wide monotonic on
@@ -17,8 +20,10 @@ pool that outlives any one request and *supervises* its workers:
   process liveness, and the heartbeat; death or a hang resolves *that
   request only* with a structured
   :class:`~repro.errors.WorkerCrashError` outcome and respawns the
-  worker.  A worker that died idle (between tasks) never fails a
-  request: dispatch retries once on the fresh replacement.
+  worker.  A death is noticed within one poll slice, so a request
+  without a deadline never waits on a dead worker.  A worker that died
+  idle (between tasks) never fails a request: dispatch retries once on
+  the fresh replacement.
 * **Scoreboard merge on restart** — workers report per-task breaker
   *deltas* (:attr:`WorkerResult.breaker_deltas`), so the parent
   scoreboard accumulates exactly the work each incarnation actually
@@ -51,11 +56,10 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from ..errors import ServiceError, ShuttingDownError, WorkerCrashError
 from ..testing.faults import fire
-from .engine import BreakerScoreboard
 from .worker import (
     WorkerConfig,
     WorkerResult,
@@ -64,7 +68,7 @@ from .worker import (
     crash_outcome,
 )
 
-__all__ = ["SupervisedWorkerPool", "SupervisorPolicy"]
+__all__ = ["BreakerScoreboard", "SupervisedWorkerPool", "SupervisorPolicy"]
 
 #: Retire request: an empty frame tells the worker loop to exit cleanly.
 _RETIRE = b""
@@ -76,8 +80,6 @@ class SupervisorPolicy:
 
     #: Worker processes (long-lived; each holds a warm context pool).
     workers: int = 2
-    #: Warm planner-context pool entries per worker.
-    pool_size: int = 4
     #: Seconds between heartbeat stamps (worker) and sweeps (parent).
     heartbeat_interval: float = 0.25
     #: A heartbeat older than this marks the worker hung/killed.
@@ -93,6 +95,31 @@ class SupervisorPolicy:
     default_task_timeout: float | None = None
     #: Pipe-poll slice while a request is in flight (liveness check cadence).
     poll_slice_seconds: float = 0.05
+
+
+class BreakerScoreboard:
+    """Per-backend breaker totals merged from worker deltas."""
+
+    def __init__(self) -> None:
+        self.successes: dict[str, int] = {}
+        self.failures: dict[str, int] = {}
+
+    def merge(self, deltas: Mapping[str, tuple[int, int]]) -> None:
+        """Add one task's ``(successes, failures)`` deltas."""
+        for name, (successes, failures) in deltas.items():
+            self.successes[name] = self.successes.get(name, 0) + successes
+            self.failures[name] = self.failures.get(name, 0) + failures
+
+    def summary(self) -> dict[str, dict[str, int]]:
+        """``{backend: {successes, failures}}``, backends sorted."""
+        names = sorted(set(self.successes) | set(self.failures))
+        return {
+            name: {
+                "successes": self.successes.get(name, 0),
+                "failures": self.failures.get(name, 0),
+            }
+            for name in names
+        }
 
 
 def _rss_bytes(pid: int | None) -> int | None:
@@ -229,11 +256,7 @@ class SupervisedWorkerPool:
         policy: SupervisorPolicy | None = None,
     ) -> None:
         self.policy = policy if policy is not None else SupervisorPolicy()
-        self.config = (
-            config
-            if config is not None
-            else WorkerConfig(pool_size=self.policy.pool_size)
-        )
+        self.config = config if config is not None else WorkerConfig()
         self._ctx = multiprocessing.get_context()
         self.scoreboard = BreakerScoreboard()
         self.pool_hits = 0

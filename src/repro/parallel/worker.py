@@ -1,4 +1,4 @@
-"""Worker-side state for the parallel planning engine.
+"""Worker-side state for the supervised worker pool.
 
 Each pool worker holds one :class:`WorkerState`: a resilient executor
 (whose circuit breakers span every request the worker serves, matching
@@ -12,18 +12,17 @@ dataclass:
 * :class:`WorkerTask` in — the request, its input-order index, and any
   chaos faults to activate for just this task (deterministic kill
   tests attach the fault to the poisoned task, so replacement workers
-  are unaffected).
-* :class:`WorkerResult` out — the outcome, breaker-counter deltas for
-  the parent's scoreboard, context-pool hit/miss, and the planner-stats
-  delta.  Input errors (:class:`~repro.errors.ReproError`) ride back as
+  are unaffected).  The request is either a service-layer
+  :class:`~repro.service.executor.PlanRequest` (batch and serve) or a
+  :class:`PlanTask`, one bare ``plan()`` call with no service layer
+  (the experiment sweeps).
+* :class:`WorkerResult` out — the outcome (or, for a plan task, its
+  :class:`PlanTaskResult`), breaker-counter deltas for the parent's
+  scoreboard, context-pool hit/miss, and the planner-stats delta.
+  Input errors (:class:`~repro.errors.ReproError`) ride back as
   ``error`` so the parent re-raises them with the same taxonomy
   exit-code semantics as the serial path; any other worker-side
   exception degrades to a ``failed`` outcome for that request alone.
-
-The module also hosts the lighter *plan-map* path
-(:class:`PlanTask`/:func:`run_plan_task`) the experiment harness fans
-out over: one bare ``plan()`` call per task, same warm context pool,
-no service layer.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from ..service.executor import (
 from ..service.policy import ServicePolicy
 from ..testing.faults import Fault, fire, inject
 from ..views.view import ViewCatalog
-from .pool import PlannerContextPool, context_fingerprint
+from .pool import PlannerContextPool
 
 __all__ = [
     "PlanTask",
@@ -77,7 +76,7 @@ class WorkerTask:
     """One request dispatched to a worker, tagged with its input order."""
 
     index: int
-    request: PlanRequest
+    request: PlanRequest | PlanTask
     #: Faults activated around just this task (chaos tests only).
     chaos: tuple[Fault, ...] = ()
 
@@ -102,10 +101,12 @@ class WorkerResult:
     pool_event: str = ""
     #: Planner-stats delta of this task on its (possibly warm) context.
     stats: PlannerStats | None = None
+    #: What a :class:`PlanTask` returns; ``None`` for plan requests.
+    plan: PlanTaskResult | None = None
 
 
 def crash_outcome(
-    request: PlanRequest, error: ServiceError
+    request: PlanRequest | PlanTask, error: ServiceError
 ) -> ExecutionOutcome:
     """A ``failed`` outcome for a request its worker could not finish.
 
@@ -174,6 +175,10 @@ class WorkerState:
         request = task.request
         try:
             fire("worker_dispatch")
+            if isinstance(request, PlanTask):
+                return WorkerResult(
+                    index=task.index, plan=run_plan_task(request, self.pool)
+                )
             context, pool_event = self.pool.acquire_catalog(
                 request.views, {"chain": list(self.executor.chain)}
             )
@@ -222,21 +227,7 @@ class WorkerState:
             self._active_context = None
 
 
-#: The per-process state a pool initializer installs (batch path).
-_STATE: WorkerState | None = None
-
-
-def _init_worker(config: WorkerConfig) -> None:
-    global _STATE
-    _STATE = WorkerState(config)
-
-
-def _run_task(task: WorkerTask) -> WorkerResult:
-    assert _STATE is not None  # the pool initializer always ran
-    return _STATE.run(task)
-
-
-# -- the plan-map path (experiment harness) ---------------------------------
+# -- bare plan tasks (experiment sweeps) ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -251,6 +242,11 @@ class PlanTask:
     #: behaviour); ``True``/``False`` = a pooled shared context with
     #: memoization on/off.
     caching: bool | None = None
+
+    @property
+    def id(self) -> str:
+        """The name crash reports give the task: its query."""
+        return str(self.query)
 
 
 @dataclass(frozen=True)
@@ -268,37 +264,16 @@ class PlanTaskResult:
         return bool(self.rewritings)
 
 
-#: The per-process warm pool for plan tasks (lazy for the serial path).
-_PLAN_STATE: PlannerContextPool | None = None
-_PLAN_POOL_SIZE = 4
-
-
-def _init_plan_worker(pool_size: int) -> None:
-    global _PLAN_STATE, _PLAN_POOL_SIZE
-    _PLAN_POOL_SIZE = pool_size
-    _PLAN_STATE = PlannerContextPool(pool_size)
-
-
-def _plan_pool() -> PlannerContextPool:
-    global _PLAN_STATE
-    if _PLAN_STATE is None:
-        _PLAN_STATE = PlannerContextPool(_PLAN_POOL_SIZE)
-    return _PLAN_STATE
-
-
-def run_plan_task(task: PlanTask) -> PlanTaskResult:
-    """Execute one plan task against the worker's warm context pool."""
+def run_plan_task(task: PlanTask, pool: PlannerContextPool) -> PlanTaskResult:
+    """Execute one plan task, on a warm context from *pool* if it caches."""
     from ..planner.registry import plan
 
-    fire("worker_dispatch")
     context: PlannerContext | None = None
     if task.caching is not None:
         caching = bool(task.caching)
-        fingerprint = context_fingerprint(
-            task.views, {"backend": task.backend, "caching": caching}
-        )
-        context, _ = _plan_pool().acquire(
-            fingerprint,
+        context, _ = pool.acquire_catalog(
+            task.views,
+            {"backend": task.backend, "caching": caching},
             factory=lambda: PlannerContext(caching=caching),
         )
     started = time.perf_counter()

@@ -26,9 +26,8 @@ point              fired from
                    cache lookup (before touching disk)
 ``cache_write``    :meth:`repro.service.PlanCache.write`, once per plan
                    cache store (before the temp-file write)
-``worker_dispatch``  :mod:`repro.parallel` worker task entry, once per
-                     dispatched request (the serial fallback fires it
-                     in-process)
+``worker_dispatch``  :meth:`repro.parallel.worker.WorkerState.run`, once
+                     per task a pool worker serves
 ``catalog_delta``  :meth:`repro.views.view.ViewCatalog._commit`, once per
                    add/remove/replace delta, before the copy-on-write
                    successor state is installed
@@ -121,8 +120,7 @@ _POINT_DESCRIPTIONS: dict[str, str] = {
     "cache_read": "plan-cache lookup, before touching disk",
     "cache_write": "plan-cache store, before the temp-file write",
     "worker_dispatch": (
-        "parallel planning engine, once per task dispatch (worker-side; "
-        "the in-process serial path fires it too)"
+        "supervised pool worker, once per task it serves (worker-side)"
     ),
     "catalog_delta": (
         "view-catalog mutation commit, once per add/remove/replace delta "
@@ -237,9 +235,9 @@ class ExitFault(Fault):
     """Hard-kill the current process — a crashed parallel worker.
 
     ``os.kill`` with ``SIGKILL`` bypasses every exception handler, so
-    the parent's only signal is the task result that never arrives; the
-    parallel engine's per-task timeout must turn that silence into a
-    :class:`~repro.errors.WorkerCrashError` for that request alone.
+    the parent's only signal is the worker process dying; the supervised
+    pool must turn that into a :class:`~repro.errors.WorkerCrashError`
+    for that request alone.
     """
 
     signum: int = signal.SIGKILL

@@ -121,12 +121,6 @@ class TestAgreementWithGyo:
 
 
 class TestDeprecatedReExport:
-    def test_catalog_gyo_module_still_exports_the_names(self):
-        from repro.analysis.catalog import gyo
-
-        assert gyo.gyo_reduce is gyo_reduce
-        assert gyo.is_acyclic is is_acyclic
-
     def test_catalog_package_export(self):
         from repro.analysis import catalog
 

@@ -118,8 +118,8 @@ def _case_circuit_open(tmp_path, views_file):
 
 def _case_worker_crash(tmp_path, views_file):
     # The active fault plan is fork-inherited by every pool worker, so
-    # the worker SIGKILLs itself on its first task dispatch; the parent
-    # times the silence out (deadline + grace) and the batch's terminal
+    # the worker SIGKILLs itself on its first task dispatch; the
+    # supervisor sees it die mid-request and the batch's terminal
     # failure is the WorkerCrashError.
     requests = _request_file(tmp_path, {"id": "w1", "query": QUERY,
                                         "timeout": 0.2})

@@ -6,8 +6,9 @@ from repro import ViewCatalog, parse_query
 from repro.views import as_view
 from repro.parallel import (
     PlannerContextPool,
+    PlanTask,
     catalog_fingerprint,
-    context_fingerprint,
+    run_plan_task,
 )
 from repro.parallel.worker import WorkerConfig, WorkerState, WorkerTask
 from repro.service import PlanRequest, ServicePolicy
@@ -28,46 +29,43 @@ QUERY = "q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)"
 
 
 class TestFingerprint:
-    def test_same_catalog_and_config_same_fingerprint(self, catalog):
-        fp1 = context_fingerprint(catalog, {"chain": ["corecover"]})
-        fp2 = context_fingerprint(
-            ViewCatalog(list(catalog)), {"chain": ["corecover"]}
-        )
-        assert fp1 == fp2
-
     def test_different_catalog_different_fingerprint(self, catalog):
         other = ViewCatalog(["v1(A, B) :- a(A, B)"])
-        assert context_fingerprint(catalog) != context_fingerprint(other)
-
-    def test_different_config_different_fingerprint(self, catalog):
-        assert context_fingerprint(
-            catalog, {"chain": ["corecover"]}
-        ) != context_fingerprint(catalog, {"chain": ["bucket"]})
+        key = catalog_fingerprint(catalog).key
+        assert key != catalog_fingerprint(other).key
 
     def test_config_key_order_is_canonical(self, catalog):
-        assert context_fingerprint(
+        assert catalog_fingerprint(
             catalog, {"a": 1, "b": 2}
-        ) == context_fingerprint(catalog, {"b": 2, "a": 1})
+        ) == catalog_fingerprint(catalog, {"b": 2, "a": 1})
 
 
 class TestPoolLru:
-    def test_hit_returns_same_context(self):
+    def test_hit_returns_same_context(self, catalog):
         pool = PlannerContextPool(2)
-        first, hit1 = pool.acquire("fp-1")
-        again, hit2 = pool.acquire("fp-1")
-        assert not hit1 and hit2
+        first, event1 = pool.acquire_catalog(catalog)
+        again, event2 = pool.acquire_catalog(catalog)
+        assert (event1, event2) == ("miss", "exact")
         assert again is first
         assert pool.hits == 1 and pool.misses == 1
 
-    def test_lru_eviction_drops_least_recent(self):
+    def test_lru_eviction_drops_least_recent(self, catalog):
+        # Distinct configurations never delta-match, so each key below
+        # is its own entry.
         pool = PlannerContextPool(2)
-        a, _ = pool.acquire("a")
-        pool.acquire("b")
-        pool.acquire("a")  # refresh a; b is now least-recent
-        pool.acquire("c")  # evicts b
-        assert "a" in pool and "c" in pool and "b" not in pool
+        keys = {name: {"key": name} for name in "abc"}
+        a, _ = pool.acquire_catalog(catalog, keys["a"])
+        pool.acquire_catalog(catalog, keys["b"])
+        pool.acquire_catalog(catalog, keys["a"])  # refresh a; b is now least-recent
+        pool.acquire_catalog(catalog, keys["c"])  # evicts b
+        fingerprints = {
+            name: catalog_fingerprint(catalog, config)
+            for name, config in keys.items()
+        }
+        assert fingerprints["a"] in pool and fingerprints["c"] in pool
+        assert fingerprints["b"] not in pool
         assert pool.evictions == 1
-        assert pool.acquire("a")[0] is a
+        assert pool.acquire_catalog(catalog, keys["a"])[0] is a
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -97,6 +95,16 @@ class TestWarmReuse:
         assert first.stats is not None and second.stats is not None
         assert second.stats.hom_searches < first.stats.hom_searches
         assert second.stats.cache_misses < first.stats.cache_misses
+
+    def test_caching_plan_tasks_share_a_pooled_context(self, catalog):
+        pool = PlannerContextPool(2)
+        task = PlanTask(query=parse_query(QUERY), views=catalog, caching=True)
+        first = run_plan_task(task, pool)
+        second = run_plan_task(task, pool)
+        assert pool.misses == 1 and pool.hits == 1
+        assert second.rewritings == first.rewritings
+        assert first.stats is not None and second.stats is not None
+        assert second.stats.hom_searches < first.stats.hom_searches
 
     def test_different_catalog_gets_its_own_context(self, catalog):
         state = WorkerState(

@@ -101,7 +101,11 @@ def test_engine_outcomes_match_serial_executor(workload_files):
     field except wall-clock time."""
     from pathlib import Path
 
-    from repro.parallel import ParallelPlanningEngine, ParallelPolicy
+    from repro.parallel import (
+        ParallelPlanningEngine,
+        SupervisorPolicy,
+        WorkerConfig,
+    )
     from repro.service import (
         ResilientExecutor,
         ServicePolicy,
@@ -121,7 +125,7 @@ def test_engine_outcomes_match_serial_executor(workload_files):
         for request in parse_requests(lines, catalog)
     ]
     engine = ParallelPlanningEngine(
-        policy, parallel=ParallelPolicy(workers=2)
+        WorkerConfig(policy=policy), policy=SupervisorPolicy(workers=2)
     )
     parallel = list(engine.run(parse_requests(lines, catalog)))
 
@@ -133,7 +137,7 @@ def test_engine_outcomes_match_serial_executor(workload_files):
     assert [normalize(o) for o in serial] == [
         normalize(o) for o in parallel
     ]
-    summary = engine.scoreboard.summary()
+    summary = engine.pool.scoreboard.summary()
     assert summary["corecover"]["successes"] == 4
     assert summary["corecover"]["failures"] == 0
 

@@ -21,9 +21,10 @@ from repro import (
     plan,
 )
 from repro.parallel import (
-    ParallelPlanningEngine,
-    ParallelPolicy,
     SupervisedWorkerPool,
+    WorkerConfig,
+    WorkerState,
+    WorkerTask,
 )
 from repro.serve.admission import AdmissionController
 from repro.service import ServicePolicy
@@ -76,12 +77,12 @@ def _exercise_cache_write(tmp_path):
 
 
 def _exercise_worker_dispatch():
+    # What every pool worker runs per task, driven in-process.
     query, views = _workload()
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=1),  # serial path fires in-process
+    state = WorkerState(
+        WorkerConfig(policy=ServicePolicy(chain=("corecover",)))
     )
-    list(engine.run([PlanRequest(query=query, views=views, id="r0")]))
+    state.run(WorkerTask(0, PlanRequest(query=query, views=views, id="r0")))
 
 
 def _exercise_catalog_delta():

@@ -215,14 +215,14 @@ class TestDegradedServing:
     def test_all_injection_points_fire_in_a_supervised_run(
         self, workload, fake_clock, tmp_path
     ):
-        """A cache-backed supervised run plus an engine dispatch, a
+        """A cache-backed supervised run plus a worker dispatch, a
         catalog delta, the serve-tier lifecycle (admission, drain,
         heartbeat sweep), and a durable catalog commit + checkpoint
         exercises the full registry of injection points — planner-,
         service-, catalog-, parallel-, daemon-, and durability-level
         alike."""
-        from repro.parallel import ParallelPlanningEngine, ParallelPolicy
         from repro.parallel import SupervisedWorkerPool
+        from repro.parallel import WorkerConfig, WorkerState, WorkerTask
         from repro.serve.admission import AdmissionController
         from repro.serve.catalogs import CatalogRegistry
         from repro.views import as_view
@@ -232,13 +232,12 @@ class TestDegradedServing:
         executor = make_executor(
             fake_clock, chain=("corecover",), cache=cache
         )
-        engine = ParallelPlanningEngine(
-            ServicePolicy(chain=("corecover",)),
-            parallel=ParallelPolicy(workers=1),
+        worker = WorkerState(
+            WorkerConfig(policy=ServicePolicy(chain=("corecover",)))
         )
         with inject() as active:
             executor.execute(PlanRequest(query, views))
-            list(engine.run([PlanRequest(query, views)]))
+            worker.run(WorkerTask(0, PlanRequest(query, views)))
             views.add_view(as_view("v_extra(X) :- a(X, X)"))
             AdmissionController().admit()
             pool = SupervisedWorkerPool()  # unstarted: lifecycle only
