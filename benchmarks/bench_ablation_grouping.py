@@ -10,7 +10,11 @@ import pytest
 
 from repro.core import core_cover
 
-from conftest import attach_corecover_stats, star_workload
+from conftest import (
+    attach_corecover_stats,
+    star_workload,
+    time_on_fresh_catalog,
+)
 
 ABLATION_VIEWS = (100, 300)
 
@@ -18,8 +22,8 @@ ABLATION_VIEWS = (100, 300)
 @pytest.mark.parametrize("num_views", ABLATION_VIEWS)
 def test_grouped(benchmark, num_views):
     workload = star_workload(num_views)
-    result = benchmark(
-        core_cover, workload.query, workload.views,
+    result = time_on_fresh_catalog(
+        benchmark, core_cover, workload.query, workload.views
     )
     attach_corecover_stats(benchmark, result)
 
@@ -27,7 +31,8 @@ def test_grouped(benchmark, num_views):
 @pytest.mark.parametrize("num_views", ABLATION_VIEWS)
 def test_ungrouped(benchmark, num_views):
     workload = star_workload(num_views)
-    result = benchmark(
+    result = time_on_fresh_catalog(
+        benchmark,
         core_cover,
         workload.query,
         workload.views,

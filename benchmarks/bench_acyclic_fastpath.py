@@ -19,6 +19,7 @@ Two claims, at the two layers the PR touches:
    neutral; the recorded stats document exactly that.
 """
 
+import copy
 import time
 
 import pytest
@@ -32,7 +33,7 @@ from repro.containment.join_guided import AcyclicRouter
 from repro.datalog import Atom, Constant, Variable
 from repro.planner import PlannerContext, plan
 
-from conftest import chain_workload
+from conftest import chain_workload, time_on_fresh_catalog
 
 #: Figure 8 chain shape: source chain length / target spine / tooth length.
 CHAIN_LENGTH = 12
@@ -140,16 +141,18 @@ def test_fig8_fig9_chain_plans_bit_identical(
     """Stock Figure 8/9 chain workloads through both plan() paths."""
     workload = chain_workload(num_views, nondistinguished=nondistinguished)
 
-    def fast_path():
-        return plan(
-            workload.query, workload.views, context=PlannerContext()
-        )
+    def fast_path(query, views):
+        return plan(query, views, context=PlannerContext())
 
-    fast = benchmark(fast_path)
+    fast = time_on_fresh_catalog(
+        benchmark, fast_path, workload.query, workload.views
+    )
+    # The general path also starts without resident view classes, so
+    # both paths do the same grouping work.
     started = time.perf_counter()
     general = plan(
         workload.query,
-        workload.views,
+        copy.copy(workload.views),
         context=PlannerContext(),
         acyclic_fast_path=False,
     )

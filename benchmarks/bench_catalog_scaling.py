@@ -25,7 +25,7 @@ from repro.workload import WorkloadConfig, generate_workload
 
 import pytest
 
-from conftest import attach_corecover_stats
+from conftest import attach_corecover_stats, time_on_fresh_catalog
 
 #: The view-count axis; the query always touches 4 of 80 relations (5%).
 CATALOG_SIZES = (50, 200, 800)
@@ -61,10 +61,13 @@ def test_catalog_scaling(benchmark, num_views):
     workload = _workload(num_views)
     benchmark.group = "catalog-scaling"
 
-    result = benchmark(
-        lambda: core_cover(
-            workload.query, workload.views, context=PlannerContext()
-        )
+    result = time_on_fresh_catalog(
+        benchmark,
+        lambda query, views: core_cover(
+            query, views, context=PlannerContext()
+        ),
+        workload.query,
+        workload.views,
     )
     stats = result.stats
     attach_corecover_stats(benchmark, result)

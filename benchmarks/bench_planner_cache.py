@@ -12,7 +12,11 @@ import pytest
 from repro.core import core_cover_impl
 from repro.planner import PlannerContext
 
-from conftest import attach_corecover_stats, star_workload
+from conftest import (
+    attach_corecover_stats,
+    star_workload,
+    time_on_fresh_catalog,
+)
 
 CACHE_VIEW_COUNTS = (250, 500)
 
@@ -21,12 +25,14 @@ CACHE_VIEW_COUNTS = (250, 500)
 def test_corecover_caching_enabled(benchmark, num_views):
     workload = star_workload(num_views)
 
-    def run():
+    def run(query, views):
         return core_cover_impl(
-            workload.query, workload.views, context=PlannerContext(caching=True)
+            query, views, context=PlannerContext(caching=True)
         )
 
-    result = benchmark(run)
+    result = time_on_fresh_catalog(
+        benchmark, run, workload.query, workload.views
+    )
     assert result.has_rewriting
     assert result.stats.cache_hits > 0
     attach_corecover_stats(benchmark, result)
@@ -36,14 +42,14 @@ def test_corecover_caching_enabled(benchmark, num_views):
 def test_corecover_caching_disabled(benchmark, num_views):
     workload = star_workload(num_views)
 
-    def run():
+    def run(query, views):
         return core_cover_impl(
-            workload.query,
-            workload.views,
-            context=PlannerContext(caching=False),
+            query, views, context=PlannerContext(caching=False)
         )
 
-    result = benchmark(run)
+    result = time_on_fresh_catalog(
+        benchmark, run, workload.query, workload.views
+    )
     assert result.has_rewriting
     assert result.stats.cache_hits == 0
     attach_corecover_stats(benchmark, result)

@@ -12,7 +12,7 @@ import pytest
 from repro.core import core_cover
 from repro.workload import WorkloadConfig, generate_workload
 
-from conftest import attach_corecover_stats
+from conftest import attach_corecover_stats, time_on_fresh_catalog
 
 RANDOM_VIEWS = (50, 150, 400)
 
@@ -28,7 +28,9 @@ def test_random_shape_time(benchmark, num_views):
             seed=31,
         )
     )
-    result = benchmark(core_cover, workload.query, workload.views)
+    result = time_on_fresh_catalog(
+        benchmark, core_cover, workload.query, workload.views
+    )
     assert result.has_rewriting
     attach_corecover_stats(benchmark, result)
 
@@ -44,6 +46,8 @@ def test_cycle_shape_time(benchmark, num_views):
             seed=33,
         )
     )
-    result = benchmark(core_cover, workload.query, workload.views)
+    result = time_on_fresh_catalog(
+        benchmark, core_cover, workload.query, workload.views
+    )
     assert result.has_rewriting
     attach_corecover_stats(benchmark, result)

@@ -283,6 +283,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             ).render_text()
         )
         _print_routing_line(planned)
+        class_hits, class_misses = planned.stats.cache_counts("view_class")
+        print(
+            f"view classes: {class_hits} views resident in the catalog, "
+            f"{class_misses} classified"
+        )
     print(f"query: {query}")
     outcome = planned.outcome
     if outcome is not None and outcome.status is not PlanStatus.COMPLETE:

@@ -255,9 +255,15 @@ def core_cover_impl(
             ]
 
         # Section 5.2: group the surviving views into equivalence
-        # classes, keep representatives.
+        # classes, keep representatives.  A catalog keeps the classes it
+        # has computed, so only views no earlier call classified cost
+        # hom searches here.
         if group_views:
-            classes = group_equivalent_views(touched, context=ctx)
+            classes = group_equivalent_views(
+                touched,
+                ctx,
+                views.class_memo if isinstance(views, ViewCatalog) else None,
+            )
             representatives = [members[0] for members in classes]
             view_classes = len(classes)
         else:

@@ -12,6 +12,11 @@ The paper's concise representation partitions
 Both partitions use cheap structural invariants as a pre-filter before the
 quadratic pairwise equivalence tests (the paper notes this up-front cost
 "paid off later when the number of views was more than 100").
+
+The view classes depend only on the catalog, so a
+:class:`~repro.views.view.ViewCatalog` keeps them in its
+:class:`~repro.views.view.ViewClassMemo`: CoreCover's grouping stage
+classifies each view once per catalog rather than once per query.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..containment.containment import is_equivalent_to
+from ..containment.memo import CacheCounter
 from ..containment.minimize import minimize
-from ..datalog.atoms import Atom
+from ..datalog.atoms import interned_atom
 from ..datalog.query import ConjunctiveQuery
 from ..planner.context import PlannerContext
-from ..views.view import View
+from ..views.view import View, ViewClassMemo
 from .tuple_core import TupleCore
 
 #: Head predicate used to compare view definitions regardless of view name.
@@ -31,50 +37,57 @@ _NEUTRAL_HEAD = "__view_cmp__"
 
 
 def _neutral_definition(view: View) -> ConjunctiveQuery:
+    # The interned head is one object per head-argument tuple, so a
+    # context's interner keys it by identity on every later call.
     definition = view.definition
     return ConjunctiveQuery(
-        Atom(_NEUTRAL_HEAD, definition.head.args), definition.body
+        interned_atom(_NEUTRAL_HEAD, definition.head.args), definition.body
     )
 
 
 def group_equivalent_views(
-    views: Iterable[View], context: PlannerContext | None = None
+    views: Iterable[View],
+    context: PlannerContext | None = None,
+    memo: ViewClassMemo | None = None,
 ) -> list[list[View]]:
     """Partition views into classes equivalent as queries.
 
     Two views are compared by their definitions with the head predicate
     neutralized (V1 and V5 have different names but the same definition).
-    Definitions are minimized once, bucketed by structural signature, and
-    only compared pairwise within a bucket.
+    A view is classified once: its definition is minimized, bucketed by
+    structural signature, and compared only against one anchor definition
+    per class in its bucket.  The labels live in *memo*; pass a catalog's
+    :attr:`~repro.views.view.ViewCatalog.class_memo` and later calls
+    answer its already-classified views by lookup.  Without one, and
+    always under a ``caching=False`` context, a throwaway memo makes
+    this the plain per-call computation.
 
-    With a :class:`PlannerContext`, both the per-view minimization and the
-    pairwise equivalence tests are memoized on structural keys — random
-    catalogs routinely contain many structurally identical definitions, so
-    most of the quadratic work collapses into cache hits.
+    The class list is rebuilt from the labels in the per-call order
+    either way: buckets by first-seen signature, classes by first-seen
+    member, members (so the representative, ``members[0]``) in input
+    order.  The classes of a subset of views are the catalog's classes
+    restricted to it, so a partially filled memo changes only how much
+    work this call does, never its answer.
+
+    With a :class:`PlannerContext`, minimization and the equivalence
+    tests are memoized on structural keys, and its ``view_class`` counter
+    records each view as a hit (labelled before this call) or a miss.
     """
+    if memo is None or (context is not None and not context.caching):
+        memo = ViewClassMemo()
     minimize_fn = context.minimize if context is not None else minimize
     equivalent = (
         context.is_equivalent_to if context is not None else is_equivalent_to
     )
-    minimized: list[tuple[View, ConjunctiveQuery]] = [
-        (view, minimize_fn(_neutral_definition(view))) for view in views
-    ]
-    buckets: dict[tuple, list[tuple[View, ConjunctiveQuery]]] = {}
-    for view, definition in minimized:
-        buckets.setdefault(definition.signature(), []).append((view, definition))
-
-    classes: list[list[View]] = []
-    for bucket in buckets.values():
-        representatives: list[tuple[ConjunctiveQuery, list[View]]] = []
-        for view, definition in bucket:
-            for rep_definition, members in representatives:
-                if equivalent(definition, rep_definition):
-                    members.append(view)
-                    break
-            else:
-                representatives.append((definition, [view]))
-        classes.extend(members for _, members in representatives)
-    return classes
+    counter = (
+        context.counters["view_class"] if context is not None else CacheCounter()
+    )
+    return memo.group(
+        views,
+        lambda view: minimize_fn(_neutral_definition(view)),
+        equivalent,
+        counter,
+    )
 
 
 def view_representatives(

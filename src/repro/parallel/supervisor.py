@@ -13,7 +13,9 @@ its workers:
   Linux, so parent and child readings compare directly).  A worker whose
   heartbeat goes stale past ``heartbeat_grace`` — SIGSTOPped, wedged in
   native code, or silently gone — is killed and replaced even when no
-  request is in flight to notice.
+  request is in flight to notice.  The same thread exits the worker
+  once its parent is gone (it was reparented), so a SIGKILLed pool
+  owner leaves no workers behind.
 * **Crash isolation** — one dispatcher thread per worker slot walks a
   shared ticket queue.  While a request is in flight the dispatcher
   polls the worker pipe in short slices, watching the task deadline,
@@ -140,15 +142,27 @@ def _supervised_worker_main(
     conn: Any,
     heartbeat: Any,
     interval: float,
+    owner: int | None,
 ) -> None:
-    """Child process entry: heartbeat thread + task recv/serve loop."""
+    """Child process entry: heartbeat thread + task recv/serve loop.
+
+    *owner* is the pool owner's pid when the worker is its direct child
+    (the fork and spawn start methods); ``None`` watches whichever parent
+    the worker starts with (a fork server, which exits with the owner).
+    """
     # The parent coordinates shutdown through the pipe and SIGKILL;
     # a terminal Ctrl+C must not race the drain protocol.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = threading.Event()
+    parent = owner if owner is not None else os.getppid()
 
     def _beat() -> None:
         while not stop.is_set():
+            # A SIGKILLed parent never closes its end of the pipe (a
+            # forked worker inherits it), so ``recv_bytes`` would wait
+            # forever; being reparented is the only sign the pool is gone.
+            if os.getppid() != parent:
+                os._exit(1)
             heartbeat.value = time.monotonic()
             stop.wait(interval)
 
@@ -323,6 +337,13 @@ class SupervisedWorkerPool:
                 child_conn,
                 heartbeat,
                 self.policy.heartbeat_interval,
+                # Passed, not read in the worker: an owner killed before
+                # the worker first runs must still be noticed.
+                (
+                    os.getpid()
+                    if self._ctx.get_start_method() in ("fork", "spawn")
+                    else None
+                ),
             ),
             name=f"repro-serve-worker-{slot.index}",
             daemon=True,

@@ -85,6 +85,13 @@ class PlannerStats:
         total = self.cache_lookups
         return self.cache_hits / total if total else 0.0
 
+    def cache_counts(self, name: str) -> tuple[int, int]:
+        """``(hits, misses)`` of the cache called *name* (zeros if absent)."""
+        for cache, hits, misses in self.caches:
+            if cache == name:
+                return hits, misses
+        return 0, 0
+
     def since(self, earlier: "PlannerStats") -> "PlannerStats":
         """This snapshot minus *earlier* (counters and stage times)."""
         earlier_caches = {name: (h, m) for name, h, m in earlier.caches}
@@ -134,6 +141,9 @@ class PlannerContext:
         self.counters["tuple_core"] = CacheCounter()
         self.counters["view_rows"] = CacheCounter()
         self.counters["join_tree"] = CacheCounter()
+        #: Views whose Section 5.2 class a catalog already held (hits)
+        #: or that grouping classified (misses).
+        self.counters["view_class"] = CacheCounter()
         self._tuple_cores: dict[tuple, tuple[frozenset[int], Substitution]] = {}
         self._view_rows: dict[tuple, tuple[tuple[Term, ...], ...]] = {}
         self._view_def_keys: dict[int, tuple] = {}

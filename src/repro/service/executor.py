@@ -474,13 +474,19 @@ class ResilientExecutor:
         ).to_json()
         # Search-effort counters ride along with the phase timings so
         # batch/serve consumers can see how much homomorphism work each
-        # request cost and whether the acyclic fast path carried it.
+        # request cost, whether the acyclic fast path carried it, and how
+        # many view classes the catalog already held.
+        class_hits, class_misses = (
+            stats.cache_counts("view_class") if stats is not None else (0, 0)
+        )
         payload["search"] = {
             "hom_searches": stats.hom_searches if stats is not None else 0,
             "hom_nodes": stats.hom_nodes if stats is not None else 0,
             "fast_path_searches": (
                 stats.fast_path_searches if stats is not None else 0
             ),
+            "view_class_hits": class_hits,
+            "view_class_misses": class_misses,
         }
         return payload
 

@@ -23,7 +23,10 @@ monotone **version** number:
   :meth:`ViewCatalog.remove_view` return a :class:`CatalogDelta`
   recording what changed between two consecutive versions, so callers
   (warm pools, plan caches, planner contexts) can invalidate per view
-  instead of discarding everything.
+  instead of discarding everything; and
+* a lazily filled :class:`ViewClassMemo` of the Section 5.2 view
+  equivalence classes (:attr:`ViewCatalog.class_memo`), which the
+  planner's grouping stage fills and reads, and every delta prunes.
 
 Mutations are **copy-on-write**: the successor index and view map are
 built off to the side and committed with plain attribute assignments
@@ -35,14 +38,18 @@ old, fully consistent version — no torn index, no half-registered view.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from ..datalog.query import ConjunctiveQuery, MalformedQueryError
 from ..datalog.parser import parse_query
 from ..datalog.terms import Variable, is_variable
 from ..errors import DuplicateViewError, UnknownViewError
 from ..testing.faults import fire
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..containment.memo import CacheCounter
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,138 @@ class CatalogDelta:
         )
 
 
+class ViewClassMemo:
+    """The Section 5.2 view equivalence classes one catalog has computed.
+
+    Which views are equivalent as queries depends only on the catalog, so
+    :func:`repro.core.equivalence.group_equivalent_views` groups through
+    this memo: a view it has labelled is a lookup, and only unseen views
+    are classified.  A label is a signature bucket (views whose minimized
+    definitions share a ``signature()``) and a class id within it; each
+    class keeps one minimized *anchor* definition to classify the next
+    unseen view against.  Labels remember the :class:`View` object they
+    were made for, so a view that is not the labelled one (a replaced
+    definition under the same name) reads as unseen.
+
+    :attr:`lock` serializes classification: two threads classifying
+    equivalent views at once could otherwise open two classes for them.
+    """
+
+    __slots__ = (
+        "lock", "_labels", "_buckets", "_anchors", "_sizes", "_next_class"
+    )
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        #: View name -> ``(view, bucket id, class id)``.
+        self._labels: dict[str, tuple[View, int, int]] = {}
+        #: Signature -> bucket id (dense, in first-seen order).
+        self._buckets: dict[tuple, int] = {}
+        #: Bucket id -> ``[(class id, anchor definition)]``, oldest first.
+        self._anchors: list[list[tuple[int, ConjunctiveQuery]]] = []
+        #: Class id -> labelled members; a class left empty drops its anchor.
+        self._sizes: dict[int, int] = {}
+        self._next_class = 0
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def group(
+        self,
+        views: Iterable[View],
+        minimized: Callable[[View], ConjunctiveQuery],
+        equivalent: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
+        counter: "CacheCounter",
+    ) -> list[list[View]]:
+        """Partition *views* into equivalence classes, in per-call order.
+
+        Unlabelled views are classified: ``minimized(view)`` is bucketed
+        by signature and compared with ``equivalent`` against the anchor
+        of each class in its bucket.  The classes come back with buckets
+        in first-seen order, classes by first-seen member and members in
+        input order, so ``members[0]`` is the class's first input view.
+        ``counter.hits``/``counter.misses`` count labelled and
+        classified views.
+        """
+        labels = self._labels
+        grouped: dict[int, dict[int, list[View]]] = {}
+        hits = misses = 0
+        with self.lock:
+            try:
+                for view in views:
+                    name = view.name
+                    label = labels.get(name)
+                    if label is not None and label[0] is view:
+                        hits += 1
+                    else:
+                        misses += 1
+                        if label is not None:
+                            self._forget(name)
+                        label = self._classify(
+                            name, view, minimized(view), equivalent
+                        )
+                    _, bucket, class_id = label
+                    classes = grouped.get(bucket)
+                    if classes is None:
+                        classes = grouped[bucket] = {}
+                    members = classes.get(class_id)
+                    if members is None:
+                        classes[class_id] = [view]
+                    else:
+                        members.append(view)
+            finally:
+                counter.hits += hits
+                counter.misses += misses
+        return [
+            members
+            for classes in grouped.values()
+            for members in classes.values()
+        ]
+
+    def _classify(
+        self,
+        name: str,
+        view: View,
+        definition: ConjunctiveQuery,
+        equivalent: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
+    ) -> tuple[View, int, int]:
+        """Label the unlabelled *view* (``name`` has no label)."""
+        signature = definition.signature()
+        bucket = self._buckets.get(signature)
+        if bucket is None:
+            bucket = self._buckets[signature] = len(self._anchors)
+            self._anchors.append([])
+        anchors = self._anchors[bucket]
+        for class_id, anchor in anchors:
+            if equivalent(definition, anchor):
+                break
+        else:
+            class_id = self._next_class
+            self._next_class += 1
+            anchors.append((class_id, definition))
+        self._sizes[class_id] = self._sizes.get(class_id, 0) + 1
+        label = self._labels[name] = (view, bucket, class_id)
+        return label
+
+    def drop(self, names: Iterable[str]) -> None:
+        """Forget the labels of *names* (a catalog delta touched them)."""
+        with self.lock:
+            for name in names:
+                self._forget(name)
+
+    def _forget(self, name: str) -> None:
+        label = self._labels.pop(name, None)
+        if label is None:
+            return
+        _, bucket, class_id = label
+        remaining = self._sizes.pop(class_id) - 1
+        if remaining:
+            self._sizes[class_id] = remaining
+        else:
+            anchors = self._anchors[bucket]
+            anchors[:] = [a for a in anchors if a[0] != class_id]
+
+
 class ViewCatalog:
     """A set of views indexed by name, predicate signature, and content.
 
@@ -181,8 +320,31 @@ class ViewCatalog:
         #: scanning the whole catalog made ``views_for_predicates``
         #: O(|V|) per call — quadratic across a whole-catalog audit.
         self._blind: tuple[str, ...] | None = None
+        #: Section 5.2 view classes, filled by the planner, never here.
+        self._classes = ViewClassMemo()
         for view in views:
             self.add(view)
+
+    # -- pickling and copying ------------------------------------------------
+    def __getstate__(self) -> dict[str, Any]:
+        """Everything but the class memo: a pickled or copied catalog
+        starts with no resident classes, and no task carries them."""
+        state = self.__dict__.copy()
+        del state["_classes"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._classes = ViewClassMemo()
+
+    @property
+    def class_memo(self) -> ViewClassMemo:
+        """The catalog's lazily filled Section 5.2 view classes.
+
+        :func:`repro.core.equivalence.group_equivalent_views` fills it;
+        every delta drops the names it adds, removes or replaces.
+        """
+        return self._classes
 
     # -- versioning and content hashes ---------------------------------------
     @property
@@ -331,7 +493,9 @@ class ViewCatalog:
         the ``catalog_delta`` point aborts the mutation with every
         attribute still describing the old version.  The assignments
         themselves are plain rebinds of already-built objects, so there
-        is no observable intermediate state.
+        is no observable intermediate state.  The class memo forgets the
+        touched names last; a lookup in between still misses, because a
+        label only answers for the exact :class:`View` it was made for.
         """
         fire("catalog_delta")
         self._views = views
@@ -342,6 +506,7 @@ class ViewCatalog:
         self._version = delta.new_version
         self._root = delta.new_root
         self._blind = None
+        self._classes.drop(view.name for view in delta.added + delta.removed)
 
     # -- lookup ----------------------------------------------------------------
     def get(self, name: str) -> View:

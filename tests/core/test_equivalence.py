@@ -1,5 +1,8 @@
 """Tests for equivalence classes of views and view tuples (Section 5.2)."""
 
+import copy
+import pickle
+
 from repro.containment import minimize
 from repro.core import (
     core_representatives,
@@ -11,7 +14,9 @@ from repro.core import (
 )
 from repro.datalog import parse_query
 from repro.experiments.paper_examples import car_loc_part
+from repro.planner import PlannerContext
 from repro.views import ViewCatalog, as_view
+from repro.views.view import ViewClassMemo
 
 
 class TestViewGrouping:
@@ -55,6 +60,65 @@ class TestViewGrouping:
         clp = car_loc_part()
         reps = view_representatives(list(clp.views))
         assert len(reps) == 4
+
+
+class TestCatalogClassMemo:
+    def test_views_sharing_a_name_are_classified_by_definition(self):
+        # A label answers only for the View object it was made for.
+        views = [as_view("v(A) :- e(A, B)"), as_view("v(A) :- e(B, A)")]
+        memo = ViewClassMemo()
+        assert len(group_equivalent_views(views, memo=memo)) == 2
+
+    def test_relabelling_a_name_keeps_its_class_anchor(self):
+        memo = ViewClassMemo()
+        group_equivalent_views([as_view("v(A) :- e(A, B)")], memo=memo)
+        # Same name, new object, same class: the class must keep an
+        # anchor, or the next equivalent view would open a second class.
+        relabelled = as_view("v(A) :- e(A, B)")
+        group_equivalent_views([relabelled], memo=memo)
+        twin = as_view("w(X) :- e(X, Y)")
+        classes = group_equivalent_views([relabelled, twin], memo=memo)
+        assert [[v.name for v in members] for members in classes] == [
+            ["v", "w"]
+        ]
+
+    def test_catalog_delta_drops_touched_names_and_empty_classes(self):
+        catalog = ViewCatalog(
+            ["v1(A) :- e(A, B)", "v2(A) :- e(A, C)", "v3(A) :- f(A)"]
+        )
+        group_equivalent_views(list(catalog), memo=catalog.class_memo)
+        assert len(catalog.class_memo) == 3
+        catalog.replace_view("v3(A) :- e(A, D)")
+        catalog.remove_view("v1")
+        assert len(catalog.class_memo) == 1
+        # f/1's class emptied: its anchor went with it.
+        assert sum(map(len, catalog.class_memo._anchors)) == 1
+        classes = group_equivalent_views(
+            list(catalog), PlannerContext(), catalog.class_memo
+        )
+        assert [[v.name for v in members] for members in classes] == [
+            ["v2", "v3"]
+        ]
+
+    def test_pickled_and_copied_catalogs_start_without_classes(self):
+        catalog = ViewCatalog(["v1(A) :- e(A, B)", "v2(A) :- e(A, C)"])
+        group_equivalent_views(list(catalog), memo=catalog.class_memo)
+        assert len(catalog.class_memo) == 2
+        for clone in (
+            pickle.loads(pickle.dumps(catalog)),
+            copy.copy(catalog),
+            copy.deepcopy(catalog),
+        ):
+            assert len(clone.class_memo) == 0
+            assert clone.class_memo is not catalog.class_memo
+            assert clone.content_root() == catalog.content_root()
+
+    def test_uncached_context_bypasses_the_catalog_memo(self):
+        catalog = ViewCatalog(["v1(A) :- e(A, B)", "v2(A) :- e(A, C)"])
+        context = PlannerContext(caching=False)
+        group_equivalent_views(list(catalog), context, catalog.class_memo)
+        assert len(catalog.class_memo) == 0
+        assert context.counters["view_class"].misses == 2
 
 
 class TestCoreGrouping:

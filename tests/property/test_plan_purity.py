@@ -9,7 +9,10 @@ request key, so both pillars are load-bearing:
   answers for one request and the plan cache would be wrong;
 * **purity** — a call must not mutate its inputs, and its only effect
   on a shared context is *monotone* cache growth (memoization may add
-  entries, never remove or rewrite them).
+  entries, never remove or rewrite them).  The same holds for the
+  catalog: a call may add view-class labels to its
+  :attr:`~repro.views.view.ViewCatalog.class_memo`, like growth on a
+  context, but never changes a view, the index or the content root.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -59,12 +59,27 @@ class TestObservability:
         assert set(PLANNER_POINTS) <= set(INJECTION_POINTS)
 
     def test_firing_counts_replay_deterministically(self, workload):
+        # Equal firing counts hold per starting state: the replay runs on
+        # a second catalog of the same views, because a catalog keeps the
+        # view classes its first call computed.
         query, views = workload
+        replay = ViewCatalog(list(views))
         with inject() as first:
             plan(query, views, backend="corecover")
         with inject() as second:
-            plan(query, views, backend="corecover")
+            plan(query, replay, backend="corecover")
         assert first.observed == second.observed
+
+    def test_second_call_on_one_catalog_skips_grouping_searches(
+        self, workload
+    ):
+        query, views = workload
+        with inject() as first:
+            cold = plan(query, views, backend="corecover")
+        with inject() as second:
+            warm = plan(query, views, backend="corecover")
+        assert second.observed["hom_search"] < first.observed["hom_search"]
+        assert warm.rewritings == cold.rewritings
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError):
