@@ -112,21 +112,17 @@ def _check_empty_view_tuples(inputs: AnalysisInput) -> Iterator[Diagnostic]:
         return
     context = inputs.context
     minimized = context.minimize(query)
-    canonical = context.canonical_database(minimized)
-    # Views outside the minimized query's predicate-relevant set are
-    # *provably* empty (no body atom can match a frozen fact), so the
-    # index answers for them without evaluating anything; only the
-    # relevant ones need their view tuples actually computed.
-    relevant = set(inputs.views.relevant_names(minimized))
-    for view in inputs.views:
-        if _has_comparisons(view.definition):
-            continue
-        tuples = (
-            view_tuples(minimized, [view], canonical, context=context)
-            if view.name in relevant
-            else []
-        )
-        if not tuples:
+    candidates = [
+        view for view in inputs.views if not _has_comparisons(view.definition)
+    ]
+    # One call over every candidate: view_tuples skips, without
+    # evaluating it, each view with a body predicate absent from D_Q.
+    answering = {
+        view_tuple.name
+        for view_tuple in view_tuples(minimized, candidates, context=context)
+    }
+    for view in candidates:
+        if view.name not in answering:
             yield RULE_EMPTY_VIEW_TUPLES.diagnostic(
                 f"view {view.name!r} yields no view tuple over the query's "
                 "canonical database: by Section 3.3 it cannot occur in any "

@@ -40,7 +40,7 @@ from ..datalog.query import ConjunctiveQuery
 from ..errors import UnsupportedQueryError
 from ..planner.context import PlannerContext
 from ..profiling.phases import profile_from_stages
-from ..views.view import View, ViewCatalog
+from ..views.view import View, ViewCatalog, comparison_atoms
 from .equivalence import (
     core_representatives,
     group_cores_by_coverage,
@@ -221,7 +221,7 @@ def core_cover_impl(
     before = ctx.snapshot()
     started = time.perf_counter()
     view_list = list(views)
-    _reject_comparisons(query, view_list)
+    _reject_comparisons(query, views)
 
     # Step (1): minimize the query.
     t0 = time.perf_counter()
@@ -402,20 +402,21 @@ def core_cover_impl(
 
 
 def _reject_comparisons(
-    query: ConjunctiveQuery, view_list: Sequence[View]
+    query: ConjunctiveQuery, views: ViewCatalog | Sequence[View]
 ) -> None:
     """CoreCover handles pure conjunctive queries (Section 2.1).
 
     Built-in comparison predicates make rewritings unions of CQs
     (Section 8); raising here beats silently reporting "no rewriting".
+    A catalog answers from its cached comparison atoms; a bare view
+    sequence is scanned.
     """
     offenders = [str(atom) for atom in query.body if atom.is_comparison]
-    for view in view_list:
-        offenders.extend(
-            f"{view.name}: {atom}"
-            for atom in view.definition.body
-            if atom.is_comparison
-        )
+    offenders.extend(
+        views.comparison_atoms()
+        if isinstance(views, ViewCatalog)
+        else comparison_atoms(views)
+    )
     if offenders:
         raise UnsupportedQueryError(
             "CoreCover supports pure conjunctive queries/views; found "

@@ -6,12 +6,15 @@ fewest tuple-cores.  CoreCover* additionally needs every *irredundant*
 cover (no member removable), which characterizes the minimal rewritings
 using view tuples (Theorem 5.1).
 
-Both enumerations branch on the lowest-numbered uncovered element, which
-visits every relevant cover at least once; duplicates are removed through
-a result set.  Dominated-set pruning is deliberately **not** applied: a
-set strictly contained in another can still participate in a minimum
-cover (e.g. universe ``{1,2,3}``, sets ``A={1}``, ``B={1,2}``,
-``D={2,3}`` — both ``{B,D}`` and ``{A,D}`` are minimum).
+Both enumerations branch on the first uncovered element in pivot order
+(default: numeric), which visits every relevant cover at least once;
+duplicates are removed through a result set.  Sets and the uncovered
+remainder are int bitmasks whose bit positions follow the pivot order,
+so the pivot is the remainder's lowest set bit.  Dominated-set pruning
+is deliberately **not** applied: a set strictly contained in another
+can still participate in a minimum cover (e.g. universe ``{1,2,3}``,
+sets ``A={1}``, ``B={1,2}``, ``D={2,3}`` — both ``{B,D}`` and
+``{A,D}`` are minimum).
 """
 
 from __future__ import annotations
@@ -47,15 +50,15 @@ def minimum_covers(
     """
     if not universe:
         return [()]
-    element_to_sets = _element_index(universe, sets)
-    if any(not options for options in element_to_sets.values()):
+    layout = _bit_layout(universe, sets, pivot_order)
+    if layout is None:
         return []
-    pick = _pivot_picker(pivot_order)
+    masks, options = layout
 
     best_size = len(universe) + 1  # a cover never needs more sets than elements
     results: set[tuple[int, ...]] = set()
 
-    def branch(uncovered: frozenset[int], chosen: tuple[int, ...]) -> None:
+    def branch(uncovered: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_size
         fire("enumeration")
         if checkpoint is not None:
@@ -70,13 +73,12 @@ def minimum_covers(
             return
         if len(chosen) + 1 > best_size:
             return
-        pivot = pick(uncovered)
-        for index in element_to_sets[pivot]:
+        for index in options[(uncovered & -uncovered).bit_length() - 1]:
             if index in chosen:
                 continue
-            branch(uncovered - sets[index], chosen + (index,))
+            branch(uncovered & ~masks[index], chosen + (index,))
 
-    branch(universe, ())
+    branch((1 << len(universe)) - 1, ())
     return sorted(results)
 
 
@@ -114,24 +116,25 @@ def irredundant_covers(
         )
     if not universe:
         return [()]
-    element_to_sets = _element_index(universe, sets)
-    if any(not options for options in element_to_sets.values()):
+    layout = _bit_layout(universe, sets, pivot_order)
+    if layout is None:
         return []
-    pick = _pivot_picker(pivot_order)
+    masks, options = layout
+    full = (1 << len(universe)) - 1
 
     results: set[tuple[int, ...]] = set()
 
     def is_irredundant(chosen: Sequence[int]) -> bool:
         for candidate in chosen:
-            others: set[int] = set()
+            others = 0
             for index in chosen:
                 if index != candidate:
-                    others.update(sets[index])
-            if universe <= others:
+                    others |= masks[index]
+            if others == full:
                 return False
         return True
 
-    def branch(uncovered: frozenset[int], chosen: tuple[int, ...]) -> None:
+    def branch(uncovered: int, chosen: tuple[int, ...]) -> None:
         if max_covers is not None and len(results) >= max_covers:
             return
         fire("enumeration")
@@ -146,13 +149,12 @@ def irredundant_covers(
             return
         if len(chosen) >= len(universe):
             return  # an irredundant cover has at most |universe| sets
-        pivot = pick(uncovered)
-        for index in element_to_sets[pivot]:
+        for index in options[(uncovered & -uncovered).bit_length() - 1]:
             if index in chosen:
                 continue
-            branch(uncovered - sets[index], chosen + (index,))
+            branch(uncovered & ~masks[index], chosen + (index,))
 
-    branch(universe, ())
+    branch(full, ())
     return sorted(results)
 
 
@@ -179,30 +181,36 @@ def greedy_cover(
     return tuple(sorted(chosen))
 
 
-def _pivot_picker(
+def _bit_layout(
+    universe: frozenset[int],
+    sets: Sequence[frozenset[int]],
     pivot_order: Sequence[int] | None,
-) -> Callable[[frozenset[int]], int]:
-    """A pivot chooser ranking elements by *pivot_order* (default numeric).
+) -> tuple[list[int], list[list[int]]] | None:
+    """Bitmasks of *sets* over *universe*, bits numbered in pivot order.
 
-    Elements missing from *pivot_order* rank after every listed one, in
-    numeric order, so a partial order is still deterministic.
+    Elements are ranked by *pivot_order* (default: numeric order);
+    elements missing from it rank after every listed one, in numeric
+    order, so a partial order is still deterministic.  The element of
+    rank ``i`` gets bit ``i``.  Returns ``(masks, options)``: each set's
+    mask of the universe elements it holds, and per bit the indices of
+    the sets holding that element, ascending.  ``None`` when some
+    element is in no set (no cover exists).
     """
     if pivot_order is None:
-        return min
-    rank = {element: position for position, element in enumerate(pivot_order)}
-    fallback = len(rank)
-
-    def pick(uncovered: frozenset[int]) -> int:
-        return min(uncovered, key=lambda e: (rank.get(e, fallback), e))
-
-    return pick
-
-
-def _element_index(
-    universe: frozenset[int], sets: Sequence[frozenset[int]]
-) -> dict[int, list[int]]:
-    index = {element: [] for element in universe}
-    for position, members in enumerate(sets):
+        ordered = sorted(universe)
+    else:
+        rank = {element: position for position, element in enumerate(pivot_order)}
+        fallback = len(rank)
+        ordered = sorted(universe, key=lambda e: (rank.get(e, fallback), e))
+    bit = {element: position for position, element in enumerate(ordered)}
+    masks = [0] * len(sets)
+    options: list[list[int]] = [[] for _ in ordered]
+    for index, members in enumerate(sets):
+        mask = 0
         for element in members & universe:
-            index[element].append(position)
-    return index
+            mask |= 1 << bit[element]
+            options[bit[element]].append(index)
+        masks[index] = mask
+    if not all(options):
+        return None
+    return masks, options

@@ -29,7 +29,7 @@ tests assert uniqueness on random inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.query import ConjunctiveQuery
@@ -71,11 +71,47 @@ class TupleCore:
         return f"core({self.view_tuple}) = {{{indices}}}"
 
 
+@dataclass(frozen=True)
+class QueryFrame:
+    """The per-query sets every tuple-core search of one query reads.
+
+    They depend on the query alone, so :func:`tuple_cores` builds one
+    frame and shares it across all of its view tuples' searches.
+    """
+
+    #: Names of the query's variables, reserved from fresh variables.
+    variable_names: frozenset[str]
+    distinguished: frozenset[Variable]
+    #: Each body atom's variable set, in body order.
+    atom_variables: tuple[frozenset[Variable], ...]
+    #: Body atom indices per variable, for the property-(3) closure.
+    atoms_of_var: Mapping[Variable, frozenset[int]]
+
+
+def query_frame(query: ConjunctiveQuery) -> QueryFrame:
+    """The :class:`QueryFrame` of *query*."""
+    atom_variables = tuple(atom.variable_set() for atom in query.body)
+    atoms_of_var: dict[Variable, set[int]] = {}
+    for index, variables in enumerate(atom_variables):
+        for variable in variables:
+            atoms_of_var.setdefault(variable, set()).add(index)
+    return QueryFrame(
+        variable_names=frozenset(v.name for v in query.variables()),
+        distinguished=query.distinguished_variables(),
+        atom_variables=atom_variables,
+        atoms_of_var={
+            variable: frozenset(indices)
+            for variable, indices in atoms_of_var.items()
+        },
+    )
+
+
 class _CoreSearch:
     """Backtracking search for the maximum consistent covered set.
 
     ``checkpoint`` (when given) is called on every backtracking node —
-    the cooperative-cancellation hook for resource budgets.
+    the cooperative-cancellation hook for resource budgets.  ``frame``
+    is *query*'s :class:`QueryFrame`, built here when not given.
     """
 
     def __init__(
@@ -83,25 +119,24 @@ class _CoreSearch:
         query: ConjunctiveQuery,
         view_tuple: ViewTuple,
         checkpoint: Callable[[], None] | None = None,
+        frame: QueryFrame | None = None,
     ) -> None:
+        if frame is None:
+            frame = query_frame(query)
         self.query = query
         self.view_tuple = view_tuple
         self.checkpoint = checkpoint
-        factory = FreshVariableFactory(
-            v.name for v in query.variables() | _atom_variables(view_tuple.atom)
-        )
+        factory = FreshVariableFactory(frame.variable_names)
+        factory.reserve(v.name for v in _atom_variables(view_tuple.atom))
         self.exp_atoms, self.fresh_existentials = view_tuple.expansion(factory)
         self.tuple_args = view_tuple.argument_terms()
-        self.distinguished = query.distinguished_variables()
+        self.distinguished = frame.distinguished
+        self.atom_variables = frame.atom_variables
+        self.atoms_of_var = frame.atoms_of_var
         # Per query subgoal: all (exp atom, partial binding) candidates.
         self.candidates = [
             self._atom_candidates(atom) for atom in query.body
         ]
-        # Query atoms indexed by variable, for the property-(3) closure.
-        self.atoms_of_var: dict[Variable, set[int]] = {}
-        for index, atom in enumerate(query.body):
-            for variable in atom.variable_set():
-                self.atoms_of_var.setdefault(variable, set()).add(index)
 
     # -- candidate generation --------------------------------------------
     def _atom_candidates(self, atom: Atom) -> list[dict[Variable, Variable]]:
@@ -209,7 +244,7 @@ class _CoreSearch:
             # only grow along a branch, so exclusion is already doomed when
             # one of the atom's variables is existentially bound now.  A
             # variable bound *later* is caught by closure_ok at the leaves.
-            if not (self.query.body[index].variable_set() & binding.keys()):
+            if self.atom_variables[index].isdisjoint(binding):
                 backtrack(index + 1, covered, binding)
 
         backtrack(0, set(), {})
@@ -279,14 +314,17 @@ def tuple_core(
     view_tuple: ViewTuple,
     *,
     checkpoint: Callable[[], None] | None = None,
+    frame: QueryFrame | None = None,
 ) -> TupleCore:
     """Compute the unique tuple-core of *view_tuple* for the minimal *query*.
 
     *query* must already be minimal (CoreCover minimizes first); the
     function does not re-minimize.  ``checkpoint`` is called on every
     search node so a resource budget can cancel the search cooperatively.
+    ``frame`` is *query*'s :class:`QueryFrame`; without one the search
+    builds its own.
     """
-    return _CoreSearch(query, view_tuple, checkpoint).run()
+    return _CoreSearch(query, view_tuple, checkpoint, frame).run()
 
 
 def tuple_cores(
@@ -299,11 +337,17 @@ def tuple_cores(
 
     With a :class:`~repro.planner.context.PlannerContext`, cores are
     memoized by (query, view definition, tuple atom) — the search runs
-    once per structurally distinct view tuple.
+    once per structurally distinct view tuple.  Every search of the call
+    shares one :class:`QueryFrame` of *query*.
     """
+    frame = query_frame(query)
     if context is None:
-        return [tuple_core(query, view_tuple) for view_tuple in tuples]
-    return [context.tuple_core(query, view_tuple) for view_tuple in tuples]
+        return [
+            tuple_core(query, view_tuple, frame=frame) for view_tuple in tuples
+        ]
+    return [
+        context.tuple_core(query, view_tuple, frame) for view_tuple in tuples
+    ]
 
 
 def _atom_variables(atom: Atom) -> set[Variable]:

@@ -134,12 +134,13 @@ def view_tuples(
     The cache is only consulted when *canonical* really is the canonical
     database of *query*.
 
-    When *views* is a :class:`ViewCatalog`, its predicate-signature
-    index prunes the enumeration to the views sharing at least one body
-    predicate with *query*: the others have no answer over the canonical
-    database (their body atoms match no frozen fact), so skipping them
-    changes nothing but the work done.  Pass an explicit view sequence
-    to opt out.
+    A view is evaluated only when every ``(predicate, arity)`` pair of
+    its relational body has a fact in the canonical database.  A body
+    atom whose pair has none matches nothing, so the view's answer is
+    empty and skipping it changes nothing but the work done.  When
+    *views* is a :class:`ViewCatalog`, its predicate-signature index
+    first narrows the enumeration to the views sharing at least one
+    body predicate with *query*.
     """
     if isinstance(views, ViewCatalog):
         views = views.relevant_views(query)
@@ -150,6 +151,7 @@ def view_tuples(
             else canonical_database(query)
         )
     database = Database.from_facts(canonical.facts)
+    present = frozenset((fact.predicate, fact.arity) for fact in canonical.facts)
     use_cache = context is not None and canonical.query == query
 
     def args_for(view: View) -> tuple[tuple, ...]:
@@ -167,6 +169,8 @@ def view_tuples(
     for view in views:
         if context is not None:
             context.checkpoint()  # cooperative cancellation per view
+        if not view.predicate_signature() <= present:
+            continue
         if use_cache:
             all_args = context.view_tuple_args(
                 query, view, lambda v=view: args_for(v)

@@ -40,7 +40,7 @@ from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..containment.canonical import CanonicalDatabase
     from ..containment.join_guided import AcyclicRouter
-    from ..core.tuple_core import TupleCore
+    from ..core.tuple_core import QueryFrame, TupleCore
     from ..core.view_tuples import ViewTuple
     from ..datalog.hypergraph import JoinTree
     from ..views.view import View
@@ -375,13 +375,18 @@ class PlannerContext:
 
     # -- tuple-core cache -------------------------------------------------------
     def tuple_core(
-        self, query: ConjunctiveQuery, view_tuple: "ViewTuple"
+        self,
+        query: ConjunctiveQuery,
+        view_tuple: "ViewTuple",
+        frame: "QueryFrame | None" = None,
     ) -> "TupleCore":
         """Memoized tuple-core computation (Definition 4.1).
 
         The core depends only on the query, the view's definition, and the
         view tuple's atom arguments — never on the view's *name* — so the
         cache key drops the name and structurally duplicate views hit.
+        *frame* is *query*'s :class:`~repro.core.tuple_core.QueryFrame`,
+        read by a search that misses.
         """
         from ..core.tuple_core import TupleCore, tuple_core as compute
 
@@ -390,7 +395,9 @@ class PlannerContext:
         if not self.caching:
             counter.misses += 1
             self.core_searches += 1
-            return compute(query, view_tuple, checkpoint=checkpoint)
+            return compute(
+                query, view_tuple, checkpoint=checkpoint, frame=frame
+            )
         key = (
             self.interner.query_key(query),
             self.view_definition_key(view_tuple.view),
@@ -405,7 +412,7 @@ class PlannerContext:
             return TupleCore(view_tuple, covered, mapping)
         counter.misses += 1
         self.core_searches += 1
-        core = compute(query, view_tuple, checkpoint=checkpoint)
+        core = compute(query, view_tuple, checkpoint=checkpoint, frame=frame)
         self._tuple_cores[key] = (core.covered, core.mapping)
         return core
 

@@ -320,6 +320,9 @@ class ViewCatalog:
         #: scanning the whole catalog made ``views_for_predicates``
         #: O(|V|) per call — quadratic across a whole-catalog audit.
         self._blind: tuple[str, ...] | None = None
+        #: Cached ``"name: atom"`` comparison atoms of the view bodies;
+        #: ``None`` = rebuild on next :meth:`comparison_atoms` call.
+        self._comparisons: tuple[str, ...] | None = None
         #: Section 5.2 view classes, filled by the planner, never here.
         self._classes = ViewClassMemo()
         for view in views:
@@ -506,6 +509,7 @@ class ViewCatalog:
         self._version = delta.new_version
         self._root = delta.new_root
         self._blind = None
+        self._comparisons = None
         self._classes.drop(view.name for view in delta.added + delta.removed)
 
     # -- lookup ----------------------------------------------------------------
@@ -539,6 +543,17 @@ class ViewCatalog:
     def definitions(self) -> tuple[ConjunctiveQuery, ...]:
         """All view definitions in registration order."""
         return tuple(view.definition for view in self._views.values())
+
+    def comparison_atoms(self) -> tuple[str, ...]:
+        """:func:`comparison_atoms` of the catalog, in registration order.
+
+        Built on first use after a delta, so building a catalog does no
+        extra work and a planner checking for comparisons does not
+        rescan every view each call.
+        """
+        if self._comparisons is None:
+            self._comparisons = comparison_atoms(self._views.values())
+        return self._comparisons
 
     # -- the predicate-signature index -----------------------------------------
     def indexed_predicates(self) -> frozenset[tuple[str, int]]:
@@ -629,6 +644,19 @@ class ViewCatalog:
             if predicate in wanted:
                 hits.update(names)
         return frozenset(hits)
+
+
+def comparison_atoms(views: Iterable[View]) -> tuple[str, ...]:
+    """Every comparison atom of the views' bodies, as ``"name: atom"``.
+
+    View order, then body order.
+    """
+    return tuple(
+        f"{view.name}: {atom}"
+        for view in views
+        for atom in view.definition.body
+        if atom.is_comparison
+    )
 
 
 def catalog_content_root(hashes: Mapping[str, str]) -> str:

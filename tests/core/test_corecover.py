@@ -166,3 +166,29 @@ class TestComparisonGuard:
         views = ViewCatalog(["v(A, B) :- e(A, B), A <= B"])
         with pytest.raises(ValueError, match="repro.extensions"):
             core_cover_star(q, views)
+
+    def test_catalog_offenders_match_a_scan_across_deltas(self):
+        """A catalog answers from its cached comparison atoms; the error
+        must read as a scan of its views would, also after a delta."""
+        from repro.core.corecover import core_cover_impl
+
+        q = parse_query("q(X, Y) :- e(X, Y), X != Y")
+        views = ViewCatalog(
+            [
+                "v1(A, B) :- e(A, B), A <= B",
+                "v2(A, B) :- e(A, B)",
+                "v3(A, B) :- e(A, B), A != B, B <= A",
+            ]
+        )
+
+        def message(candidates):
+            with pytest.raises(ValueError, match="comparison atoms") as caught:
+                core_cover_impl(q, candidates)
+            return str(caught.value)
+
+        assert message(views) == message(list(views))
+        assert "X != Y, v1: A <= B, v3: A != B, v3: B <= A." in message(views)
+        views.remove_view("v1")
+        views.add_view("v0(A) :- e(A, A), A < a")
+        assert message(views) == message(list(views))
+        assert "X != Y, v3: A != B, v3: B <= A, v0: A < a." in message(views)

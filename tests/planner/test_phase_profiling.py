@@ -206,6 +206,66 @@ class TestPlannerSurfaces:
         assert search["hom_nodes"] > 0
         assert search["fast_path_searches"] > 0  # QUERY is acyclic
 
+    def test_benchmark_traced_phases_stay_on_the_call_path(self, monkeypatch):
+        """The benchmark's traced run times the plan phases by wrapping
+        these names where ``plan()`` looks them up
+        (``perfbench/tracing.py::install_planning``), and fails outright
+        when one of its per-layer metrics gets no sample.  So each must
+        be called by a cold and by a warm ``plan()``."""
+        from collections import Counter
+
+        from repro.core import corecover
+        from repro.cost.registry import CostModel
+        from repro.planner import PlannerContext, plan
+        from repro.workload import WorkloadConfig, generate_workload
+
+        workload = generate_workload(
+            WorkloadConfig(
+                shape="star", num_relations=7, query_subgoals=4,
+                num_views=30, seed=1,
+            )
+        )
+        calls: Counter = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        wrapped = (
+            [
+                (corecover, name)
+                for name in (
+                    "group_equivalent_views", "view_tuples", "tuple_cores",
+                    "minimum_covers",
+                )
+            ]
+            + [
+                (PlannerContext, name)
+                for name in ("minimize", "canonical_database", "join_tree")
+            ]
+            + [(CostModel, "select")]
+        )
+        for owner, name in wrapped:
+            counted(owner, name)
+
+        def planned(context):
+            calls.clear()
+            plan(
+                workload.query, workload.views, backend="corecover",
+                cost_model="m1", context=context,
+            )
+            return {name for _, name in wrapped if not calls[name]}
+
+        assert planned(PlannerContext()) == set()  # cold
+        shared = PlannerContext()
+        planned(shared)
+        assert planned(shared) == set()  # warm
+
 
 class TestCliSurfaces:
     def test_plan_profile_renders_table(self, tmp_path, capsys):

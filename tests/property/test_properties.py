@@ -6,6 +6,7 @@ proofs must agree with actual query answers on random databases, and
 every rewriting CoreCover emits must be a genuine equivalent rewriting.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from repro.containment import (
     minimize,
     thaw_atom,
 )
-from repro.core import core_cover, tuple_core, view_tuples
+from repro.core import core_cover, tuple_core, tuple_cores, view_tuples
 from repro.core.set_cover import irredundant_covers, minimum_covers
 from repro.datalog import (
     Atom,
@@ -29,6 +30,7 @@ from repro.datalog import (
     parse_query,
 )
 from repro.engine import Database, evaluate
+from repro.planner import PlannerContext
 from repro.views import ViewCatalog, is_equivalent_rewriting
 from repro.workload import WorkloadConfig, generate_workload
 
@@ -205,6 +207,37 @@ class TestSetCover:
         irredundant = set(irredundant_covers(universe, sets))
         assert minimum <= irredundant
 
+    @settings(max_examples=80, deadline=None)
+    @given(subsets, st.permutations(range(4)))
+    def test_covers_equal_brute_force_enumeration(self, sets, pivot_order):
+        """Both enumerations list exactly the covers found by trying
+        every index subset, whatever the pivot order."""
+        universe = frozenset(range(4))
+
+        def covers(chosen):
+            return universe <= frozenset().union(*(sets[i] for i in chosen))
+
+        every_cover = [
+            chosen
+            for size in range(len(sets) + 1)
+            for chosen in itertools.combinations(range(len(sets)), size)
+            if covers(chosen)
+        ]
+        smallest = min((len(c) for c in every_cover), default=None)
+        minimum = [c for c in every_cover if len(c) == smallest]
+        irredundant = [
+            c
+            for c in every_cover
+            if not any(covers(c[:i] + c[i + 1:]) for i in range(len(c)))
+        ]
+        for order in (None, pivot_order):
+            assert minimum_covers(universe, sets, pivot_order=order) == sorted(
+                minimum
+            )
+            assert irredundant_covers(
+                universe, sets, pivot_order=order
+            ) == sorted(irredundant)
+
 
 class TestCoreCoverSoundness:
     @settings(max_examples=15, deadline=None)
@@ -313,7 +346,8 @@ class TestLemma42Uniqueness:
         )
         workload = generate_workload(config)
         minimized = minimize(workload.query)
-        for vt in view_tuples(minimized, workload.views):
+        tuples = view_tuples(minimized, workload.views)
+        for vt in tuples:
             maximal = enumerate_consistent_cores(minimized, vt)
             assert len(maximal) <= 1, (str(vt), maximal)
             core = tuple_core(minimized, vt)
@@ -321,6 +355,7 @@ class TestLemma42Uniqueness:
                 assert core.covered == maximal[0]
             else:
                 assert core.is_empty
+        _assert_shared_frame_cores_agree(minimized, tuples)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -338,6 +373,20 @@ class TestLemma42Uniqueness:
         )
         workload = generate_workload(config)
         minimized = minimize(workload.query)
-        for vt in view_tuples(minimized, workload.views):
+        tuples = view_tuples(minimized, workload.views)
+        for vt in tuples:
             maximal = enumerate_consistent_cores(minimized, vt)
             assert len(maximal) <= 1, (str(vt), maximal)
+        _assert_shared_frame_cores_agree(minimized, tuples)
+
+
+def _assert_shared_frame_cores_agree(minimized, tuples):
+    """``tuple_cores`` on a context shares one query frame across its
+    searches; each core must equal a standalone ``tuple_core`` search."""
+    shared = tuple_cores(minimized, tuples, context=PlannerContext())
+    assert len(shared) == len(tuples)
+    for vt, core in zip(tuples, shared):
+        alone = tuple_core(minimized, vt)
+        assert core.view_tuple == vt
+        assert core.covered == alone.covered, str(vt)
+        assert core.mapping == alone.mapping, str(vt)
