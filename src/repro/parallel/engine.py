@@ -34,8 +34,9 @@ from .worker import (
 __all__ = ["ParallelPlanningEngine", "plan_map"]
 
 #: Tasks submitted ahead of the one being read, per worker.  ``submit``
-#: pickles each task when it is called, so the window bounds how many
-#: pickled catalogs the parent holds at once.
+#: pickles each task when it is called and every task carries its
+#: catalog's full bytes, so the window bounds how many copies of those
+#: bytes the queued tickets hold at once.
 _WINDOW_PER_WORKER = 2
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -133,6 +134,20 @@ class _PoolEntry:
     #: snapshot (not the catalog reference) because catalogs mutate in
     #: place.
     views: dict[str, View]
+    #: The catalog object the entry was last acquired with, and its
+    #: version then: the same object at the same version is the same
+    #: content, so a repeat skips the fingerprint and the snapshot.
+    catalog: "weakref.ref[ViewCatalog] | None" = None
+    version: int = -1
+
+    def holds(self, catalog: ViewCatalog, config_hash: str) -> bool:
+        """Whether *catalog*, as it stands, is what the entry last saw."""
+        return (
+            self.catalog is not None
+            and self.catalog() is catalog
+            and self.version == catalog.version
+            and self.fingerprint.config_hash == config_hash
+        )
 
 
 class PlannerContextPool:
@@ -142,7 +157,9 @@ class PlannerContextPool:
     match is a *hit*; a pooled entry for the same configuration whose
     catalog differs by at most ``max_delta_views`` per-view changes is
     a *delta hit* — the warm context is upgraded in place (re-keyed,
-    removed views retired) instead of cold-starting.
+    removed views retired) instead of cold-starting.  The same catalog
+    object acquired again at the same version and configuration is a
+    hit found without fingerprinting the catalog at all.
     """
 
     def __init__(
@@ -188,13 +205,17 @@ class PlannerContextPool:
         structural content; removed views are retired from the upgraded
         context purely to release memory.
         """
+        config_hash = _config_hash(config)
+        for key, entry in self._entries.items():
+            if entry.holds(catalog, config_hash):
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry.context, "exact"
         fingerprint = catalog_fingerprint(catalog, config)
-        snapshot = {view.name: view for view in catalog}
         entry = self._entries.get(fingerprint.key)
         if entry is not None:
             self._entries.move_to_end(fingerprint.key)
-            entry.fingerprint = fingerprint
-            entry.views = snapshot
+            self._rebind(entry, catalog, fingerprint)
             self.hits += 1
             return entry.context, "exact"
         upgraded = self._nearest(fingerprint)
@@ -209,18 +230,28 @@ class PlannerContextPool:
             ]
             if retired:
                 entry.context.retire_views(retired)
-            entry.fingerprint = fingerprint
-            entry.views = snapshot
+            self._rebind(entry, catalog, fingerprint)
             self._store(fingerprint.key, entry)
             self.delta_hits += 1
             return entry.context, "delta"
         self.misses += 1
         context = (factory or self._factory)()
-        self._store(
-            fingerprint.key,
-            _PoolEntry(context, fingerprint=fingerprint, views=snapshot),
-        )
+        entry = _PoolEntry(context, fingerprint=fingerprint, views={})
+        self._rebind(entry, catalog, fingerprint)
+        self._store(fingerprint.key, entry)
         return context, "miss"
+
+    @staticmethod
+    def _rebind(
+        entry: _PoolEntry,
+        catalog: ViewCatalog,
+        fingerprint: CatalogFingerprint,
+    ) -> None:
+        """Record *catalog*, as it stands, as what *entry* last saw."""
+        entry.fingerprint = fingerprint
+        entry.views = {view.name: view for view in catalog}
+        entry.catalog = weakref.ref(catalog)
+        entry.version = catalog.version
 
     def _nearest(
         self, fingerprint: CatalogFingerprint

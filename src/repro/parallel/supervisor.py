@@ -43,12 +43,24 @@ its workers:
   *never* silently dropped.
 
 Tasks are pickled by the **submitter**, in the submitter's thread, so a
-catalog registered concurrently with a ``submit`` can never race the
-snapshot a task carries across the process boundary.
+catalog updated concurrently with a ``submit`` can never race the
+snapshot a task carries across the process boundary.  A catalog crosses
+once per version, not once per task: the task pickler swaps each
+:class:`~repro.views.view.ViewCatalog` for that catalog's pickled bytes,
+which the pool makes at the first submit after a version change and
+then reuses, and each worker unpickles a given byte string once and
+keeps the catalog resident (with its Section 5.2 class memo) in an LRU
+of ``WorkerConfig.pool_size`` entries.  The LRU is keyed by a sha256 of
+the bytes, never by the catalog's content root: the root ignores
+registration order, which picks each class representative.  Every task
+still carries its catalog's full bytes, so a task is self-contained: a
+respawned, recycled or killed worker needs no state from the parent.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import multiprocessing
 import os
 import pickle
@@ -56,12 +68,15 @@ import queue
 import signal
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..errors import ServiceError, ShuttingDownError, WorkerCrashError
 from ..testing.faults import fire
+from ..views.view import ViewCatalog
 from .worker import (
     WorkerConfig,
     WorkerResult,
@@ -124,6 +139,81 @@ class BreakerScoreboard:
         }
 
 
+#: How a catalog crosses the pipe: ``(sha256 of the bytes, pickled bytes)``.
+_CatalogId = tuple[bytes, bytes]
+
+
+class _CatalogBytes:
+    """The parent's pickled bytes per catalog object, made once per version.
+
+    Weakly keyed, so a catalog dropped by its owner drops its bytes; a
+    version bump (any delta) makes the next lookup pickle again.
+    """
+
+    def __init__(self) -> None:
+        #: Catalog -> ``(version the bytes were made at, its _CatalogId)``.
+        self._cache: weakref.WeakKeyDictionary[
+            ViewCatalog, tuple[int, _CatalogId]
+        ] = weakref.WeakKeyDictionary()
+
+    def __call__(self, catalog: ViewCatalog) -> _CatalogId:
+        # The version is read before pickling: a delta committed while
+        # pickling leaves bytes newer than their label, which only costs
+        # one more pickling at the next submit.
+        version = catalog.version
+        cached = self._cache.get(catalog)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        blob = pickle.dumps(catalog)
+        pid = (hashlib.sha256(blob).digest(), blob)
+        self._cache[catalog] = (version, pid)
+        return pid
+
+
+class _TaskPickler(pickle.Pickler):
+    """Pickles a task with each catalog replaced by its cached bytes."""
+
+    def __init__(self, file: io.BytesIO, catalogs: _CatalogBytes) -> None:
+        super().__init__(file)
+        self._catalogs = catalogs
+
+    def persistent_id(self, obj: Any) -> _CatalogId | None:
+        if isinstance(obj, ViewCatalog):
+            return self._catalogs(obj)
+        return None
+
+
+class _ResidentCatalogs:
+    """A worker's unpickled catalogs, an LRU keyed by their bytes' sha256."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._catalogs: "OrderedDict[bytes, ViewCatalog]" = OrderedDict()
+
+    def load(self, pid: _CatalogId) -> ViewCatalog:
+        digest, blob = pid
+        catalog = self._catalogs.get(digest)
+        if catalog is not None:
+            self._catalogs.move_to_end(digest)
+            return catalog
+        catalog = pickle.loads(blob)
+        self._catalogs[digest] = catalog
+        if len(self._catalogs) > self.capacity:
+            self._catalogs.popitem(last=False)
+        return catalog
+
+
+class _TaskUnpickler(pickle.Unpickler):
+    """Unpickles a task, resolving its catalogs through the worker's LRU."""
+
+    def __init__(self, payload: bytes, catalogs: _ResidentCatalogs) -> None:
+        super().__init__(io.BytesIO(payload))
+        self._catalogs = catalogs
+
+    def persistent_load(self, pid: _CatalogId) -> ViewCatalog:
+        return self._catalogs.load(pid)
+
+
 def _rss_bytes(pid: int | None) -> int | None:
     """Resident-set bytes of *pid* via procfs, or ``None`` off-Linux."""
     if pid is None:
@@ -171,6 +261,7 @@ def _supervised_worker_main(
     beater = threading.Thread(target=_beat, name="heartbeat", daemon=True)
     beater.start()
     state = WorkerState(config)
+    catalogs = _ResidentCatalogs(config.pool_size)
     try:
         while True:
             try:
@@ -179,7 +270,7 @@ def _supervised_worker_main(
                 break
             if payload == _RETIRE:
                 break
-            task: WorkerTask = pickle.loads(payload)
+            task: WorkerTask = _TaskUnpickler(payload, catalogs).load()
             result = state.run(task)
             try:
                 blob = pickle.dumps(result)
@@ -273,6 +364,7 @@ class SupervisedWorkerPool:
         self.config = config if config is not None else WorkerConfig()
         self._ctx = multiprocessing.get_context()
         self.scoreboard = BreakerScoreboard()
+        self._catalog_bytes = _CatalogBytes()
         self.pool_hits = 0
         self.pool_delta_hits = 0
         self.pool_misses = 0
@@ -392,7 +484,9 @@ class SupervisedWorkerPool:
 
         The task is pickled *here*, in the submitter's thread, so the
         catalog state it carries is the state at submission time — a
-        concurrent ``catalog update`` can never tear the snapshot.
+        concurrent ``catalog update`` can never tear the snapshot.  Its
+        catalog's bytes come from the pool's per-version cache, so only
+        the first submit after a catalog version change pickles it.
         """
         if not self._started:
             raise RuntimeError("SupervisedWorkerPool.start() was never called")
@@ -402,7 +496,9 @@ class SupervisedWorkerPool:
             )
         if timeout is None:
             timeout = self._task_timeout(task.request)
-        task_bytes = pickle.dumps(task)
+        buffer = io.BytesIO()
+        _TaskPickler(buffer, self._catalog_bytes).dump(task)
+        task_bytes = buffer.getvalue()
         future: "Future[WorkerResult]" = Future()
         ticket = _Ticket(task.index, task.request, task_bytes, timeout, future)
         with self._stats_lock:
@@ -520,7 +616,7 @@ class SupervisedWorkerPool:
             if result.fingerprint:
                 if result.pool_event == "delta":
                     self.pool_delta_hits += 1
-                elif result.pool_hit:
+                elif result.pool_event == "exact":
                     self.pool_hits += 1
                 else:
                     self.pool_misses += 1

@@ -15,10 +15,12 @@ dataclass:
   are unaffected).  The request is either a service-layer
   :class:`~repro.service.executor.PlanRequest` (batch and serve) or a
   :class:`PlanTask`, one bare ``plan()`` call with no service layer
-  (the experiment sweeps).
+  (the experiment sweeps).  Its catalog crosses as pickled bytes the
+  pool makes once per catalog version and the worker unpickles once
+  (see :mod:`repro.parallel.supervisor`).
 * :class:`WorkerResult` out — the outcome (or, for a plan task, its
   :class:`PlanTaskResult`), breaker-counter deltas for the parent's
-  scoreboard, context-pool hit/miss, and the planner-stats delta.
+  scoreboard, the context-pool event, and the planner-stats delta.
   Input errors (:class:`~repro.errors.ReproError`) ride back as
   ``error`` so the parent re-raises them with the same taxonomy
   exit-code semantics as the serial path; any other worker-side
@@ -94,7 +96,6 @@ class WorkerResult:
         default_factory=dict
     )
     fingerprint: str = ""
-    pool_hit: bool = False
     #: ``"exact"`` (same catalog root), ``"delta"`` (warm context
     #: upgraded across a small catalog delta), or ``"miss"``; empty for
     #: error results.
@@ -201,7 +202,6 @@ class WorkerState:
                 outcome=outcome,
                 breaker_deltas=deltas,
                 fingerprint=fingerprint,
-                pool_hit=pool_event in ("exact", "delta"),
                 pool_event=pool_event,
                 stats=context.snapshot().since(before),
             )

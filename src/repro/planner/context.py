@@ -398,12 +398,12 @@ class PlannerContext:
             return compute(
                 query, view_tuple, checkpoint=checkpoint, frame=frame
             )
+        # The tuple's arguments key it as they are: interning a wrapper
+        # atom built per lookup would pin one new atom per call.
         key = (
             self.interner.query_key(query),
             self.view_definition_key(view_tuple.view),
-            self.interner.atom_key(
-                Atom(_VIEWDEF_MARKER, view_tuple.atom.args)
-            ),
+            view_tuple.atom.args,
         )
         cached = self._tuple_cores.get(key)
         if cached is not None:

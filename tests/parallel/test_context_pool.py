@@ -89,8 +89,8 @@ class TestWarmReuse:
         )
         assert first.outcome is not None and first.outcome.ok
         assert second.outcome is not None and second.outcome.ok
-        assert not first.pool_hit
-        assert second.pool_hit
+        assert first.pool_event == "miss"
+        assert second.pool_event == "exact"
         assert second.fingerprint == first.fingerprint
         assert first.stats is not None and second.stats is not None
         assert second.stats.hom_searches < first.stats.hom_searches
@@ -124,7 +124,7 @@ class TestWarmReuse:
             WorkerTask(1, PlanRequest(query=query, views=other, id="r2"))
         )
         assert second.fingerprint != first.fingerprint
-        assert not second.pool_hit
+        assert second.pool_event == "miss"
 
 
 class TestCatalogFingerprint:
@@ -222,7 +222,7 @@ class TestDeltaUpgrade:
             WorkerTask(1, PlanRequest(query=query, views=catalog, id="r2"))
         )
         assert first.pool_event == "miss"
-        assert second.pool_event == "delta" and second.pool_hit
+        assert second.pool_event == "delta"
         assert state.pool.delta_hits >= 1
         assert second.fingerprint != first.fingerprint
         assert first.stats is not None and second.stats is not None

@@ -95,6 +95,17 @@ class TestSharedContextAcrossRuns:
         assert second.stats.cache_misses == 0
         assert second.stats.cache_hits > 0
 
+    def test_warm_runs_pin_no_new_atoms(self, star500):
+        """A warm tuple-core lookup reuses the keys it already holds:
+        the interner's identity table (which pins every object it sees)
+        stops growing once the query has been planned."""
+        context = PlannerContext()
+        pinned = []
+        for _ in range(3):
+            core_cover(star500.query, star500.views, context=context)
+            pinned.append(len(context.interner._atom_by_identity))
+        assert pinned[1] == pinned[2]
+
     def test_stage_times_accumulate(self, star500):
         context = PlannerContext()
         core_cover(star500.query, star500.views, context=context)

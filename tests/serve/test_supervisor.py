@@ -22,6 +22,7 @@ from repro.parallel import (
     WorkerTask,
 )
 from repro.service import PlanRequest, ServicePolicy
+from repro.service.executor import ResilientExecutor
 from repro.testing.faults import ExitFault, StallFault
 
 from .conftest import QUERY
@@ -46,6 +47,13 @@ def _task(catalog, index, *, rid=None, chaos=(), deadline=None):
         budget=budget,
     )
     return WorkerTask(index=index, request=request, chaos=tuple(chaos))
+
+
+def _serial_rewritings(task):
+    """The serial executor's rewritings for *task*'s request."""
+    outcome = ResilientExecutor(_config().policy).execute(task.request)
+    assert outcome.ok
+    return [str(rewriting) for rewriting in outcome.rewritings]
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -96,6 +104,9 @@ def test_killed_worker_fails_only_its_request(catalog):
         assert isinstance(results[2].outcome.error, WorkerCrashError)
         for i in (0, 1, 3, 4):
             assert results[i].outcome.status == "ok", f"r{i} must survive"
+            assert [
+                str(rewriting) for rewriting in results[i].outcome.rewritings
+            ] == _serial_rewritings(tasks[i])
         assert pool.restarts >= 1
         assert pool.crashes == 1
     finally:
@@ -151,11 +162,13 @@ def test_recycling_is_invisible_to_callers(catalog):
         policy=SupervisorPolicy(workers=1, recycle_after_requests=2),
     ).start()
     try:
-        results = [
-            pool.submit(_task(catalog, i)).result(timeout=60)
-            for i in range(5)
-        ]
+        tasks = [_task(catalog, i) for i in range(5)]
+        results = [pool.submit(task).result(timeout=60) for task in tasks]
         assert all(r.outcome.status == "ok" for r in results)
+        for task, result in zip(tasks, results):
+            assert [
+                str(rewriting) for rewriting in result.outcome.rewritings
+            ] == _serial_rewritings(task)
         assert pool.recycles >= 2
         assert pool.crashes == 0
         # Breakers reflect exactly the five requests served, across all
