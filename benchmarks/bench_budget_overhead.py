@@ -24,6 +24,9 @@ from conftest import (
 )
 
 NUM_VIEWS = 250
+#: The asserted gate on the ratio: the 1.05 target plus slack for
+#: noisy shared CI runners.  CI prints it from ``extra_info``.
+MAX_RATIO = 1.5
 
 
 def _best_of(callable_, repeats=3):
@@ -58,10 +61,10 @@ def test_budget_checkpoint_overhead(benchmark):
     )
     ratio = metered / plain if plain > 0 else 1.0
     benchmark.extra_info["budget_overhead_ratio"] = ratio
+    benchmark.extra_info["budget_overhead_max_ratio"] = MAX_RATIO
     benchmark.extra_info["unbudgeted_seconds"] = plain
     benchmark.extra_info["budgeted_seconds"] = metered
     attach_corecover_stats(benchmark, result.details)
-    # Target is 1.05; allow generous slack for noisy shared CI runners.
-    assert ratio <= 1.5, (
+    assert ratio <= MAX_RATIO, (
         f"budget checkpoints cost {ratio - 1:.0%} on the star workload"
     )

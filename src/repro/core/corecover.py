@@ -40,7 +40,7 @@ from ..datalog.query import ConjunctiveQuery
 from ..errors import UnsupportedQueryError
 from ..planner.context import PlannerContext
 from ..profiling.phases import profile_from_stages
-from ..views.view import View, ViewCatalog, comparison_atoms
+from ..views.view import View, ViewCatalog, ViewForms, comparison_atoms
 from .equivalence import (
     core_representatives,
     group_cores_by_coverage,
@@ -271,6 +271,15 @@ def core_cover_impl(
             view_classes = len(touched)
     grouping_seconds = time.perf_counter() - t0
 
+    # Each view's compiled form depends on its definition alone, so a
+    # catalog keeps the forms across calls, as it keeps the classes; a
+    # bare view sequence or an uncached context compiles throwaway ones.
+    forms = (
+        views.view_forms
+        if isinstance(views, ViewCatalog) and ctx.caching
+        else ViewForms()
+    )
+
     # Step (2): view tuples over the canonical database.  The canonical-DB
     # construction is timed as its own stage so phase profiles can show
     # freezing separately from the (usually dominant) tuple enumeration;
@@ -279,13 +288,15 @@ def core_cover_impl(
     with ctx.stage("canonical_db"):
         canonical = ctx.canonical_database(minimized)
     with ctx.stage("view_tuples"):
-        tuples = view_tuples(minimized, representatives, canonical, context=ctx)
+        tuples = view_tuples(
+            minimized, representatives, canonical, context=ctx, forms=forms
+        )
     view_tuple_seconds = time.perf_counter() - t0
 
     # Step (3): tuple-cores.
     t0 = time.perf_counter()
     with ctx.stage("tuple_cores"):
-        cores = tuple_cores(minimized, tuples, context=ctx)
+        cores = tuple_cores(minimized, tuples, context=ctx, forms=forms)
     core_seconds = time.perf_counter() - t0
 
     # Section 5.2 again: group view tuples by coverage.

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.query import ConjunctiveQuery
-from ..datalog.substitution import Substitution
+from ..datalog.substitution import IDENTITY, Substitution
 from ..datalog.terms import (
     Constant,
     FreshVariableFactory,
@@ -41,6 +41,8 @@ from ..datalog.terms import (
     Variable,
     is_variable,
 )
+from ..engine.evaluate import SlotForm
+from ..views.view import ViewForms
 from .view_tuples import ViewTuple
 
 
@@ -86,6 +88,8 @@ class QueryFrame:
     atom_variables: tuple[frozenset[Variable], ...]
     #: Body atom indices per variable, for the property-(3) closure.
     atoms_of_var: Mapping[Variable, frozenset[int]]
+    #: Body atom indices per ``(predicate, arity)``, in body order.
+    atoms_of_signature: Mapping[tuple[str, int], tuple[int, ...]]
 
 
 def query_frame(query: ConjunctiveQuery) -> QueryFrame:
@@ -95,6 +99,11 @@ def query_frame(query: ConjunctiveQuery) -> QueryFrame:
     for index, variables in enumerate(atom_variables):
         for variable in variables:
             atoms_of_var.setdefault(variable, set()).add(index)
+    atoms_of_signature: dict[tuple[str, int], list[int]] = {}
+    for index, atom in enumerate(query.body):
+        atoms_of_signature.setdefault((atom.predicate, atom.arity), []).append(
+            index
+        )
     return QueryFrame(
         variable_names=frozenset(v.name for v in query.variables()),
         distinguished=query.distinguished_variables(),
@@ -103,11 +112,21 @@ def query_frame(query: ConjunctiveQuery) -> QueryFrame:
             variable: frozenset(indices)
             for variable, indices in atoms_of_var.items()
         },
+        atoms_of_signature={
+            signature: tuple(indices)
+            for signature, indices in atoms_of_signature.items()
+        },
     )
 
 
 class _CoreSearch:
     """Backtracking search for the maximum consistent covered set.
+
+    The view tuple's expansion comes from its view's compiled *form*
+    (compiled here when not given): head slots take the tuple's
+    arguments, existential slots fresh variables.  A query subgoal's
+    candidates come only from expansion atoms with its predicate and
+    arity, and the search branches only on subgoals that have one.
 
     ``checkpoint`` (when given) is called on every backtracking node —
     the cooperative-cancellation hook for resource budgets.  ``frame``
@@ -120,46 +139,55 @@ class _CoreSearch:
         view_tuple: ViewTuple,
         checkpoint: Callable[[], None] | None = None,
         frame: QueryFrame | None = None,
+        form: SlotForm | None = None,
     ) -> None:
         if frame is None:
             frame = query_frame(query)
+        if form is None:
+            form = SlotForm(view_tuple.view.definition)
         self.query = query
         self.view_tuple = view_tuple
         self.checkpoint = checkpoint
-        factory = FreshVariableFactory(frame.variable_names)
-        factory.reserve(v.name for v in _atom_variables(view_tuple.atom))
-        self.exp_atoms, self.fresh_existentials = view_tuple.expansion(factory)
-        self.tuple_args = view_tuple.argument_terms()
+        args = view_tuple.atom.args
+        if len(form.variables) > form.head_size:
+            factory = FreshVariableFactory(frame.variable_names)
+            factory.reserve(arg.name for arg in args if is_variable(arg))
+            terms = form.slot_terms(args, factory)
+        else:
+            terms = args  # every slot is a head slot: no factory
+        self.fresh_existentials = frozenset(terms[form.head_size:])
+        self.tuple_args = frozenset(args)
         self.distinguished = frame.distinguished
         self.atom_variables = frame.atom_variables
         self.atoms_of_var = frame.atoms_of_var
-        # Per query subgoal: all (exp atom, partial binding) candidates.
-        self.candidates = [
-            self._atom_candidates(atom) for atom in query.body
-        ]
+        # Per query subgoal: all (exp atom, partial binding) candidates,
+        # from the expansion atoms in body order.
+        body = query.body
+        candidates: list[list[dict[Variable, Variable]]] = [[] for _ in body]
+        signature_atoms = frame.atoms_of_signature
+        for predicate, target in form.instantiate(terms):
+            for index in signature_atoms.get((predicate, len(target)), ()):
+                binding = self._match(body[index], target)
+                if binding is not None and binding not in candidates[index]:
+                    candidates[index].append(binding)
+        self.candidates = candidates
+        #: The subgoals with a candidate, in body order: the only ones
+        #: the search branches on.
+        self.active = [index for index, found in enumerate(candidates) if found]
 
     # -- candidate generation --------------------------------------------
-    def _atom_candidates(self, atom: Atom) -> list[dict[Variable, Variable]]:
-        """All ways to map *atom* into the expansion, as existential bindings.
-
-        Each candidate is the set of ``query var -> fresh existential``
-        bindings it requires; identity mappings are implicit.  An empty
-        dict means the atom maps by pure identity.
-        """
-        results: list[dict[Variable, Variable]] = []
-        for exp_atom in self.exp_atoms:
-            binding = self._match(atom, exp_atom)
-            if binding is not None and binding not in results:
-                results.append(binding)
-        return results
-
     def _match(
-        self, atom: Atom, exp_atom: Atom
+        self, atom: Atom, target_args: tuple[Term, ...]
     ) -> Optional[dict[Variable, Variable]]:
-        if atom.predicate != exp_atom.predicate or atom.arity != exp_atom.arity:
-            return None
+        """The ways to map *atom* onto an expansion atom's arguments.
+
+        Returns the ``query var -> fresh existential`` bindings the
+        mapping requires (identity mappings are implicit; an empty dict
+        means pure identity), or ``None`` when there is no mapping.  The
+        caller has matched the predicate and arity.
+        """
         binding: dict[Variable, Variable] = {}
-        for arg, target in zip(atom.args, exp_atom.args):
+        for arg, target in zip(atom.args, target_args):
             if isinstance(arg, Constant):
                 if arg != target:
                     return None
@@ -192,7 +220,10 @@ class _CoreSearch:
     # -- search ----------------------------------------------------------------
     def run(self) -> TupleCore:
         """Find the maximum covered set and return the tuple-core."""
-        n = len(self.query.body)
+        checkpoint = self.checkpoint
+        active = self.active
+        m = len(active)
+        candidates = self.candidates
         best: dict[str, object] = {"covered": frozenset(), "binding": {}}
 
         def consistent(
@@ -216,36 +247,38 @@ class _CoreSearch:
                 self.atoms_of_var[variable] <= covered for variable in binding
             )
 
-        checkpoint = self.checkpoint
-
         def backtrack(
-            index: int, covered: set[int], binding: dict[Variable, Variable]
+            position: int, covered: set[int], binding: dict[Variable, Variable]
         ) -> None:
             if checkpoint is not None:
                 checkpoint()
-            if index == n:
+            if position == m:
                 if len(covered) > len(best["covered"]) and closure_ok(
                     covered, binding
                 ):
                     best["covered"] = frozenset(covered)
                     best["binding"] = dict(binding)
                 return
-            # Upper-bound prune: even covering everything left cannot beat best.
-            if len(covered) + (n - index) <= len(best["covered"]):
+            # Upper-bound prune: even covering every active subgoal left
+            # cannot beat best.
+            if len(covered) + (m - position) <= len(best["covered"]):
                 return
-            for addition in self.candidates[index]:
+            index = active[position]
+            for addition in candidates[index]:
                 merged = consistent(binding, addition)
                 if merged is not None:
                     covered.add(index)
-                    backtrack(index + 1, covered, merged)
+                    backtrack(position + 1, covered, merged)
                     covered.remove(index)
             # Exclude this atom.  Property (3) ultimately requires that no
             # variable of an excluded atom is existentially mapped; bindings
             # only grow along a branch, so exclusion is already doomed when
             # one of the atom's variables is existentially bound now.  A
-            # variable bound *later* is caught by closure_ok at the leaves.
+            # variable bound *later* is caught by closure_ok at the leaves,
+            # as is one of a subgoal without candidates, which the search
+            # always excludes without visiting.
             if self.atom_variables[index].isdisjoint(binding):
-                backtrack(index + 1, covered, binding)
+                backtrack(position + 1, covered, binding)
 
         backtrack(0, set(), {})
         mapping = Substitution(dict(best["binding"]))  # type: ignore[arg-type]
@@ -315,16 +348,48 @@ def tuple_core(
     *,
     checkpoint: Callable[[], None] | None = None,
     frame: QueryFrame | None = None,
+    form: SlotForm | None = None,
 ) -> TupleCore:
     """Compute the unique tuple-core of *view_tuple* for the minimal *query*.
 
     *query* must already be minimal (CoreCover minimizes first); the
     function does not re-minimize.  ``checkpoint`` is called on every
     search node so a resource budget can cancel the search cooperatively.
-    ``frame`` is *query*'s :class:`QueryFrame`; without one the search
-    builds its own.
+    ``frame`` is *query*'s :class:`QueryFrame` and ``form`` the view's
+    compiled :class:`~repro.engine.evaluate.SlotForm`; the search builds
+    either when it is not given.
     """
-    return _CoreSearch(query, view_tuple, checkpoint, frame).run()
+    if form is None:
+        form = SlotForm(view_tuple.view.definition)
+    if frame is None:
+        frame = query_frame(query)
+    if len(form.variables) == form.head_size:
+        # No existential variable: every candidate binding is the
+        # identity, so nothing conflicts and no closure applies, and the
+        # core is every subgoal equal to an expansion atom.
+        if checkpoint is not None:
+            checkpoint()
+        return TupleCore(
+            view_tuple, _identity_cover(query, view_tuple, frame, form), IDENTITY
+        )
+    return _CoreSearch(query, view_tuple, checkpoint, frame, form).run()
+
+
+def _identity_cover(
+    query: ConjunctiveQuery,
+    view_tuple: ViewTuple,
+    frame: QueryFrame,
+    form: SlotForm,
+) -> frozenset[int]:
+    """The subgoals of *query* equal to an atom of the view tuple's
+    expansion, for a view without existential variables."""
+    body = query.body
+    return frozenset(
+        index
+        for predicate, target in form.instantiate(view_tuple.atom.args)
+        for index in frame.atoms_of_signature.get((predicate, len(target)), ())
+        if body[index].args == target
+    )
 
 
 def tuple_cores(
@@ -332,23 +397,31 @@ def tuple_cores(
     tuples: Sequence[ViewTuple],
     *,
     context: "PlannerContext | None" = None,
+    forms: ViewForms | None = None,
 ) -> list[TupleCore]:
     """Tuple-cores for a collection of view tuples, in the given order.
 
     With a :class:`~repro.planner.context.PlannerContext`, cores are
     memoized by (query, view definition, tuple atom) — the search runs
     once per structurally distinct view tuple.  Every search of the call
-    shares one :class:`QueryFrame` of *query*.
+    shares one :class:`QueryFrame` of *query*.  *forms* supplies the
+    views' compiled forms (a catalog's
+    :attr:`~repro.views.view.ViewCatalog.view_forms`); without it the
+    call compiles throwaway ones.
     """
     frame = query_frame(query)
+    if forms is None:
+        forms = ViewForms()
     if context is None:
         return [
-            tuple_core(query, view_tuple, frame=frame) for view_tuple in tuples
+            tuple_core(
+                query, view_tuple, frame=frame, form=forms.form(view_tuple.view)
+            )
+            for view_tuple in tuples
         ]
     return [
-        context.tuple_core(query, view_tuple, frame) for view_tuple in tuples
+        context.tuple_core(
+            query, view_tuple, frame, forms.form(view_tuple.view)
+        )
+        for view_tuple in tuples
     ]
-
-
-def _atom_variables(atom: Atom) -> set[Variable]:
-    return {arg for arg in atom.args if is_variable(arg)}

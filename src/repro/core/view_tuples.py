@@ -21,12 +21,11 @@ from ..containment.canonical import (
 )
 from ..datalog.atoms import Atom
 from ..datalog.query import ConjunctiveQuery
-from ..datalog.substitution import Substitution
 from ..datalog.terms import Constant, FreshVariableFactory, Term, Variable
 from ..engine.database import Database
-from ..engine.evaluate import evaluate
+from ..engine.evaluate import IndexCache, SlotForm
 from ..testing.faults import fire
-from ..views.view import View, ViewCatalog
+from ..views.view import View, ViewCatalog, ViewForms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planner.context import PlannerContext
@@ -51,10 +50,6 @@ class ViewTuple:
         """The underlying view's name."""
         return self.view.name
 
-    def argument_terms(self) -> frozenset[Term]:
-        """The set of query terms among the view tuple's arguments."""
-        return frozenset(self.atom.args)
-
     def expansion(
         self, factory: FreshVariableFactory
     ) -> tuple[tuple[Atom, ...], frozenset[Variable]]:
@@ -62,21 +57,12 @@ class ViewTuple:
 
         Head variables of the view are substituted by the view tuple's
         arguments; existential variables become fresh variables drawn from
-        *factory* (Definition 2.2 applied to a single subgoal).
+        *factory* in name order (Definition 2.2 applied to a single
+        subgoal).  The rule is the view's
+        :meth:`~repro.engine.evaluate.SlotForm.expansion`, the one the
+        tuple-core search uses.
         """
-        mapping: dict[Variable, Term] = {
-            head_var: arg
-            for head_var, arg in zip(self.view.head_variables, self.atom.args)
-        }
-        fresh: set[Variable] = set()
-        for existential in sorted(
-            self.view.existential_variables(), key=lambda v: v.name
-        ):
-            renamed = factory.fresh_like(existential)
-            mapping[existential] = renamed
-            fresh.add(renamed)
-        substitution = Substitution(mapping)
-        return substitution.apply_atoms(self.view.definition.body), frozenset(fresh)
+        return SlotForm(self.view.definition).expansion(self.atom.args, factory)
 
 
 def to_view_tuple_rewriting(
@@ -122,11 +108,19 @@ def view_tuples(
     canonical: CanonicalDatabase | None = None,
     *,
     context: "PlannerContext | None" = None,
+    forms: ViewForms | None = None,
 ) -> list[ViewTuple]:
     """Compute ``T(Q, V)`` for a (preferably minimized) query.
 
     The result is deterministic: tuples appear grouped by view in catalog
     order, then sorted by their rendered atom.
+
+    Each view is evaluated by running its compiled
+    :class:`~repro.engine.evaluate.SlotForm` over the canonical database.
+    *forms* supplies the forms (a catalog's
+    :attr:`~repro.views.view.ViewCatalog.view_forms`, which keeps each
+    view's form across calls); without it the call compiles throwaway
+    forms.
 
     With a :class:`~repro.planner.context.PlannerContext`, the evaluation
     of each view definition over the canonical database is memoized by
@@ -150,20 +144,36 @@ def view_tuples(
             if context is not None
             else canonical_database(query)
         )
+    if forms is None:
+        forms = ViewForms()
     database = Database.from_facts(canonical.facts)
     present = frozenset((fact.predicate, fact.arity) for fact in canonical.facts)
     use_cache = context is not None and canonical.query == query
+    # Shared by every view's join over this one database.
+    indexes: IndexCache = {}
+    # Frozen value -> (thawed term, rendered term).  A frozen constant
+    # thaws to the query's own variable object.
+    thawed: dict[object, tuple[Term, str]] = {
+        frozen.value: (variable, variable.name)
+        for variable, frozen in canonical.freezing.as_dict().items()
+    }
 
-    def args_for(view: View) -> tuple[tuple, ...]:
-        rows = evaluate(view.definition, database)
-        unique = {
-            tuple(_thaw_value(value) for value in row) for row in rows
-        }
-        # Sorting by the rendered argument tuple matches the historical
-        # sort by str(atom): the view-name prefix is constant per view.
-        return tuple(
-            sorted(unique, key=lambda args: ", ".join(map(str, args)))
-        )
+    def thaw(value: object) -> tuple[Term, str]:
+        term = _thaw_value(value)
+        entry = thawed[value] = (term, str(term))
+        return entry
+
+    def args_for(form: SlotForm) -> tuple[tuple[Term, ...], ...]:
+        # Thawed argument tuple -> its rendering, the sort key.  Sorting
+        # by the rendered argument tuple matches the historical sort by
+        # str(atom): the view-name prefix is constant per view.
+        unique: dict[tuple[Term, ...], str] = {}
+        for row in form.answers(database, indexes):
+            entries = [thawed.get(value) or thaw(value) for value in row]
+            unique[tuple([term for term, _ in entries])] = ", ".join(
+                [text for _, text in entries]
+            )
+        return tuple(sorted(unique, key=unique.__getitem__))
 
     tuples: list[ViewTuple] = []
     for view in views:
@@ -171,15 +181,17 @@ def view_tuples(
             context.checkpoint()  # cooperative cancellation per view
         if not view.predicate_signature() <= present:
             continue
+        form = forms.form(view)
         if use_cache:
             all_args = context.view_tuple_args(
-                query, view, lambda v=view: args_for(v)
+                query, form, lambda f=form: args_for(f)
             )
         else:
-            all_args = args_for(view)
+            all_args = args_for(form)
         for args in all_args:
             fire("enumeration")
             if context is not None:
                 context.charge_view_tuple()
             tuples.append(ViewTuple(view, Atom(view.name, args)))
     return tuples
+

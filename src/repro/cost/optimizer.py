@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..datalog.query import ConjunctiveQuery
 from ..engine.database import Database
@@ -340,14 +340,23 @@ def optimal_plan_io(
 
 
 def best_rewriting_m2(
-    rewritings: Iterable[ConjunctiveQuery], database: Database
+    rewritings: Iterable[ConjunctiveQuery],
+    database: Database,
+    *,
+    checkpoint: Callable[[OptimizedPlan], None] | None = None,
 ) -> OptimizedPlan | None:
-    """The M2-cheapest rewriting among candidates (None if no candidates)."""
+    """The M2-cheapest rewriting among candidates (None if no candidates).
+
+    *checkpoint*, when given, is called with the best plan so far after
+    each rewriting is priced (the cost-ranking budget hook).
+    """
     best: OptimizedPlan | None = None
     for rewriting in rewritings:
         optimized = optimal_plan_m2(rewriting, database)
         if best is None or optimized.cost < best.cost:
             best = optimized
+        if checkpoint is not None:
+            checkpoint(best)
     return best
 
 

@@ -57,6 +57,11 @@ class CostModel:
     (``query``, ``views``, ``database``, ``statistics`` and any
     model-specific options) and returns the winning
     :class:`OptimizedPlan`, or ``None`` when there are no candidates.
+
+    Under a resource budget, :func:`repro.planner.plan` also passes
+    ``checkpoint``: the selector calls it with the best plan priced so
+    far after each rewriting it prices, and an exhausted budget raises
+    from it.  The built-in selectors all take it.
     """
 
     name: str
@@ -73,9 +78,16 @@ class CostModel:
         views=None,
         database=None,
         statistics: StatisticsCatalog | None = None,
+        checkpoint: Callable[[OptimizedPlan], None] | None = None,
         **options,
     ) -> Optional[OptimizedPlan]:
-        """Pick the cheapest rewriting under this model."""
+        """Pick the cheapest rewriting under this model.
+
+        *checkpoint* is forwarded only when given, so a custom selector
+        without the parameter still runs unbudgeted.
+        """
+        if checkpoint is not None:
+            options["checkpoint"] = checkpoint
         return self.selector(
             tuple(rewritings),
             query=query,
@@ -126,26 +138,58 @@ def get_cost_model(name: str) -> CostModel:
 # -- built-in models ---------------------------------------------------------
 
 def _select_m1(rewritings, *, query=None, views=None, database=None,
-               statistics=None, **options) -> Optional[OptimizedPlan]:
+               statistics=None, checkpoint=None, **options
+               ) -> Optional[OptimizedPlan]:
+    """Fewest subgoals first, then the smallest rendered rewriting.
+
+    The tie-break key is ``str(rewriting)``, built from each distinct
+    atom rendered once per call: one call's rewritings share their head
+    and their view-tuple atoms.
+    """
     if not rewritings:
         return None
-    best = min(rewritings, key=lambda r: (len(r.body), str(r)))
-    plan = PhysicalPlan.from_rewriting(best)
-    return OptimizedPlan(best, plan, float(len(best.body)))
+    rendered: dict[int, str] = {}
+
+    def text(atom) -> str:
+        # Keyed by identity: every atom stays alive through the call.
+        found = rendered.get(id(atom))
+        if found is None:
+            found = rendered[id(atom)] = str(atom)
+        return found
+
+    best = best_key = chosen = None
+    for rewriting in rewritings:
+        body = ", ".join(map(text, rewriting.body))
+        key = (len(rewriting.body), f"{text(rewriting.head)} :- {body}")
+        if best is None or key < best_key:
+            best, best_key, chosen = rewriting, key, None
+        if checkpoint is not None:
+            if chosen is None:
+                chosen = _m1_plan(best)
+            checkpoint(chosen)
+    return chosen if chosen is not None else _m1_plan(best)
+
+
+def _m1_plan(rewriting: ConjunctiveQuery) -> OptimizedPlan:
+    plan = PhysicalPlan.from_rewriting(rewriting)
+    return OptimizedPlan(rewriting, plan, float(len(rewriting.body)))
 
 
 def _select_m2(rewritings, *, query=None, views=None, database=None,
-               statistics=None, **options) -> Optional[OptimizedPlan]:
+               statistics=None, checkpoint=None, **options
+               ) -> Optional[OptimizedPlan]:
     if not rewritings:
         return None
     if database is not None:
-        return best_rewriting_m2(rewritings, database)
+        return best_rewriting_m2(rewritings, database, checkpoint=checkpoint)
     if statistics is not None:
         best: Optional[OptimizedPlan] = None
         for rewriting in rewritings:
             optimized = optimal_plan_m2_estimated(rewriting, statistics)
             if best is None or optimized.cost < best.cost:
                 best = optimized
+            if checkpoint is not None:
+                checkpoint(best)
         return best
     raise ValueError(
         "cost model 'm2' prices intermediate relations; pass a view "
@@ -155,7 +199,7 @@ def _select_m2(rewritings, *, query=None, views=None, database=None,
 
 def _select_m3(rewritings, *, query=None, views=None, database=None,
                statistics=None, annotator: str = "heuristic",
-               **options) -> Optional[OptimizedPlan]:
+               checkpoint=None, **options) -> Optional[OptimizedPlan]:
     if not rewritings:
         return None
     if query is None or views is None:
@@ -186,6 +230,8 @@ def _select_m3(rewritings, *, query=None, views=None, database=None,
             )
         if best is None or optimized.cost < best.cost:
             best = optimized
+        if checkpoint is not None:
+            checkpoint(best)
     return best
 
 

@@ -11,7 +11,10 @@ A :class:`PlannerContext` bundles
   ``(query, view definition, view-tuple atom)`` and view-tuple rows keyed
   by ``(query, view definition)`` — the two places the CoreCover stages
   re-derive identical results when a catalog contains structurally
-  duplicate views (Section 5.2's motivation), and
+  duplicate views (Section 5.2's motivation).  The view definition enters
+  as the :class:`~repro.engine.evaluate.DefinitionKey` its compiled form
+  carries, so the context keeps no reference to any
+  :class:`~repro.views.view.View`; and
 * instrumentation: per-cache hit/miss counters, per-stage wall times, and
   search counts, snapshotted into an immutable :class:`PlannerStats`.
 
@@ -30,11 +33,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..containment.memo import CacheCounter, ContainmentCache
-from ..datalog.atoms import Atom
 from ..datalog.interning import InternTable
 from ..datalog.query import ConjunctiveQuery
 from ..datalog.substitution import Substitution
 from ..datalog.terms import Term
+from ..engine.evaluate import DefinitionKey, SlotForm
 from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -46,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..views.view import View
 
 __all__ = ["PlannerContext", "PlannerStats"]
-
-#: Head predicate used when interning view definitions name-independently.
-_VIEWDEF_MARKER = "__viewdef__"
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,6 @@ class PlannerContext:
         self.counters["view_class"] = CacheCounter()
         self._tuple_cores: dict[tuple, tuple[frozenset[int], Substitution]] = {}
         self._view_rows: dict[tuple, tuple[tuple[Term, ...], ...]] = {}
-        self._view_def_keys: dict[int, tuple] = {}
-        self._keepalive: list[object] = []
         #: Live budget meter; ``None`` means unbudgeted.  A budget given
         #: here anchors its deadline at construction; ``plan(budget=...)``
         #: instead installs a per-call meter via :meth:`budgeted`.
@@ -323,25 +321,17 @@ class PlannerContext:
         finally:
             self.acyclic_route = previous
 
-    # -- view-definition interning ---------------------------------------------
-    def view_definition_key(self, view: "View") -> tuple:
+    # -- view-definition keys ----------------------------------------------------
+    def view_definition_key(self, view: "View") -> DefinitionKey:
         """A name-independent structural key for a view's definition.
 
         Views are compared by head arguments plus body, so equivalent
         catalog entries with different names (V1 and V5 of the
         car-loc-part example) share cached tuple-cores and view rows.
+        It is the key a view's compiled form carries; computing it keeps
+        no reference to *view*.
         """
-        cached = self._view_def_keys.get(id(view))
-        if cached is not None:
-            return cached
-        definition = view.definition
-        key = (
-            self.interner.atom_key(Atom(_VIEWDEF_MARKER, definition.head.args)),
-            self.interner.atoms_key(definition.body),
-        )
-        self._view_def_keys[id(view)] = key
-        self._keepalive.append(view)
-        return key
+        return DefinitionKey(view.definition)
 
     def retire_views(self, views: "Iterable[View]") -> int:
         """Evict memoized work for view definitions leaving the catalog.
@@ -354,6 +344,7 @@ class PlannerContext:
         name is simply recomputed on its next use.  Returns the number of
         entries dropped.
         """
+        views = list(views)
         def_keys = {self.view_definition_key(view) for view in views}
         if not def_keys:
             return 0
@@ -369,8 +360,6 @@ class PlannerContext:
         for key in [k for k in self._join_trees if k in query_keys]:
             del self._join_trees[key]
             dropped += 1
-        for view in views:
-            self._view_def_keys.pop(id(view), None)
         return dropped
 
     # -- tuple-core cache -------------------------------------------------------
@@ -379,30 +368,34 @@ class PlannerContext:
         query: ConjunctiveQuery,
         view_tuple: "ViewTuple",
         frame: "QueryFrame | None" = None,
+        form: SlotForm | None = None,
     ) -> "TupleCore":
         """Memoized tuple-core computation (Definition 4.1).
 
         The core depends only on the query, the view's definition, and the
         view tuple's atom arguments — never on the view's *name* — so the
         cache key drops the name and structurally duplicate views hit.
-        *frame* is *query*'s :class:`~repro.core.tuple_core.QueryFrame`,
-        read by a search that misses.
+        *frame* is *query*'s :class:`~repro.core.tuple_core.QueryFrame`
+        and *form* the view's compiled form, whose key stands for the
+        definition; a search that misses reads both.
         """
         from ..core.tuple_core import TupleCore, tuple_core as compute
 
+        if form is None:
+            form = SlotForm(view_tuple.view.definition)
         checkpoint = self.meter.checkpoint if self.meter is not None else None
         counter = self.counters["tuple_core"]
         if not self.caching:
             counter.misses += 1
             self.core_searches += 1
             return compute(
-                query, view_tuple, checkpoint=checkpoint, frame=frame
+                query, view_tuple, checkpoint=checkpoint, frame=frame, form=form
             )
         # The tuple's arguments key it as they are: interning a wrapper
         # atom built per lookup would pin one new atom per call.
         key = (
             self.interner.query_key(query),
-            self.view_definition_key(view_tuple.view),
+            form.key,
             view_tuple.atom.args,
         )
         cached = self._tuple_cores.get(key)
@@ -412,7 +405,9 @@ class PlannerContext:
             return TupleCore(view_tuple, covered, mapping)
         counter.misses += 1
         self.core_searches += 1
-        core = compute(query, view_tuple, checkpoint=checkpoint, frame=frame)
+        core = compute(
+            query, view_tuple, checkpoint=checkpoint, frame=frame, form=form
+        )
         self._tuple_cores[key] = (core.covered, core.mapping)
         return core
 
@@ -420,24 +415,21 @@ class PlannerContext:
     def view_tuple_args(
         self,
         query: ConjunctiveQuery,
-        view: "View",
+        form: SlotForm,
         compute: Callable[[], tuple[tuple[Term, ...], ...]],
     ) -> tuple[tuple[Term, ...], ...]:
-        """Memoized thawed answer rows of *view* over *query*'s canonical DB.
+        """Memoized thawed answer rows of a view over *query*'s canonical DB.
 
-        ``compute`` must return the sorted tuple of argument tuples; the
-        cache key is (query, view definition), so equally-defined views
-        evaluated against the same canonical database share one
-        evaluation.
+        *form* is the view's compiled form.  ``compute`` must return the
+        sorted tuple of argument tuples; the cache key is (query, view
+        definition), so equally-defined views evaluated against the same
+        canonical database share one evaluation.
         """
         counter = self.counters["view_rows"]
         if not self.caching:
             counter.misses += 1
             return compute()
-        key = (
-            self.interner.query_key(query),
-            self.view_definition_key(view),
-        )
+        key = (self.interner.query_key(query), form.key)
         cached = self._view_rows.get(key)
         if cached is not None:
             counter.hits += 1

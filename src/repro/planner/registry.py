@@ -190,7 +190,10 @@ def plan(
     ``strict_budget=True`` (or ``budget.strict``) to get the
     :class:`~repro.errors.BudgetExceededError` raise instead.  Input
     errors (:class:`~repro.errors.ReproError` subclasses such as parse or
-    arity failures) always propagate; they are not degradation.
+    arity failures) always propagate; they are not degradation.  Cost
+    ranking runs under the same budget: a budget that runs out while
+    the rewritings are priced returns them all (certified) with the best
+    plan priced so far as ``chosen``.
 
     ``acyclic_fast_path`` (default on) routes the backend's homomorphism
     searches through the join-tree-guided engine when the query's body
@@ -269,6 +272,10 @@ def plan(
     error: BaseException | None = None
     rewritings: tuple[ConjunctiveQuery, ...] = ()
     details: object = None
+    chosen = None
+    model_name: str | None = None
+    # Whether the budget ran out while ranking a complete rewriting set.
+    ranking_exhausted = False
     route = ctx.routed_acyclic() if route_acyclic else nullcontext()
     with ctx.collecting() as partials:
         with ctx.budgeted(budget) as meter:
@@ -293,9 +300,43 @@ def plan(
                 # fault) under a budget still yields the best-so-far.
                 status = PlanStatus.FAILED
                 error = exc
+
+            if cost_model is not None and status is PlanStatus.COMPLETE:
+                from ..cost.registry import get_cost_model
+
+                model = get_cost_model(cost_model)
+                model_name = model.name
+                # Ranking runs under the same meter: after each priced
+                # rewriting the selector reports its best plan so far,
+                # which an exhausted budget returns as ``chosen``.
+                priced: list[object] = []
+
+                def ranked(best: object) -> None:
+                    priced[:] = [best]
+                    meter.checkpoint()
+
+                try:
+                    with ctx.stage(f"cost:{model.name}"):
+                        chosen = model.select(
+                            rewritings,
+                            query=query,
+                            views=catalog,
+                            database=database,
+                            statistics=statistics,
+                            checkpoint=ranked if meter is not None else None,
+                            **(cost_options or {}),
+                        )
+                except BudgetExceededError as exc:
+                    if strict:
+                        raise
+                    status = PlanStatus.BUDGET_EXHAUSTED
+                    exhausted_resource = exc.resource or meter.exhausted_resource
+                    chosen = priced[0] if priced else None
+                    ranking_exhausted = True
     elapsed = time.perf_counter() - started
 
-    if status is PlanStatus.COMPLETE:
+    if status is PlanStatus.COMPLETE or ranking_exhausted:
+        # The backend finished: every rewriting is certified.
         anytime = tuple(
             AnytimeRewriting(rewriting, certified=True)
             for rewriting in rewritings
@@ -311,23 +352,6 @@ def plan(
         elapsed_seconds=elapsed,
         diagnostics=report.diagnostics if report is not None else (),
     )
-
-    chosen = None
-    model_name: str | None = None
-    if cost_model is not None and status is PlanStatus.COMPLETE:
-        from ..cost.registry import get_cost_model
-
-        model = get_cost_model(cost_model)
-        model_name = model.name
-        with ctx.stage(f"cost:{model.name}"):
-            chosen = model.select(
-                rewritings,
-                query=query,
-                views=catalog,
-                database=database,
-                statistics=statistics,
-                **(cost_options or {}),
-            )
 
     return PlanResult(
         backend=resolved.name,

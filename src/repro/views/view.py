@@ -26,7 +26,10 @@ monotone **version** number:
   instead of discarding everything; and
 * a lazily filled :class:`ViewClassMemo` of the Section 5.2 view
   equivalence classes (:attr:`ViewCatalog.class_memo`), which the
-  planner's grouping stage fills and reads, and every delta prunes.
+  planner's grouping stage fills and reads, and every delta prunes; and
+* lazily compiled :class:`ViewForms` (:attr:`ViewCatalog.view_forms`):
+  each view's definition as a :class:`~repro.engine.evaluate.SlotForm`,
+  the join kernel the view-tuple and tuple-core stages run.
 
 Mutations are **copy-on-write**: the successor index and view map are
 built off to the side and committed with plain attribute assignments
@@ -45,6 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 from ..datalog.query import ConjunctiveQuery, MalformedQueryError
 from ..datalog.parser import parse_query
 from ..datalog.terms import Variable, is_variable
+from ..engine.evaluate import SlotForm
 from ..errors import DuplicateViewError, UnknownViewError
 from ..testing.faults import fire
 
@@ -288,6 +292,45 @@ class ViewClassMemo:
             anchors[:] = [a for a in anchors if a[0] != class_id]
 
 
+class ViewForms:
+    """Compiled :class:`~repro.engine.evaluate.SlotForm` per view name.
+
+    A view's form depends only on its definition, so a catalog compiles
+    each view once, on first use, rather than once per query.  An entry
+    answers only for the exact :class:`View` object it was compiled for,
+    as class labels do, so a replaced definition under the same name
+    compiles afresh.  There is no lock: compiling is pure, and two
+    threads compiling one view at once only do the work twice.
+    """
+
+    __slots__ = ("_forms",)
+
+    def __init__(self) -> None:
+        #: View name -> ``(view, form)``.
+        self._forms: dict[str, tuple[View, SlotForm]] = {}
+
+    def __len__(self) -> int:
+        return len(self._forms)
+
+    def form(self, view: View) -> SlotForm:
+        """*view*'s compiled form, compiled now if this is its first use."""
+        definition = view.definition
+        # view.name without its two property calls: this runs once per
+        # view tuple.
+        name = definition.head.predicate
+        entry = self._forms.get(name)
+        if entry is not None and entry[0] is view:
+            return entry[1]
+        form = SlotForm(definition)
+        self._forms[name] = (view, form)
+        return form
+
+    def drop(self, names: Iterable[str]) -> None:
+        """Forget the forms of *names* (their views left the catalog)."""
+        for name in names:
+            self._forms.pop(name, None)
+
+
 class ViewCatalog:
     """A set of views indexed by name, predicate signature, and content.
 
@@ -325,20 +368,25 @@ class ViewCatalog:
         self._comparisons: tuple[str, ...] | None = None
         #: Section 5.2 view classes, filled by the planner, never here.
         self._classes = ViewClassMemo()
+        #: Compiled view forms, filled by the planner, never here.
+        self._forms = ViewForms()
         for view in views:
             self.add(view)
 
     # -- pickling and copying ------------------------------------------------
     def __getstate__(self) -> dict[str, Any]:
-        """Everything but the class memo: a pickled or copied catalog
-        starts with no resident classes, and no task carries them."""
+        """Everything but the class memo and the compiled forms: a
+        pickled or copied catalog starts with neither, and no task
+        carries them."""
         state = self.__dict__.copy()
         del state["_classes"]
+        del state["_forms"]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._classes = ViewClassMemo()
+        self._forms = ViewForms()
 
     @property
     def class_memo(self) -> ViewClassMemo:
@@ -348,6 +396,15 @@ class ViewCatalog:
         every delta drops the names it adds, removes or replaces.
         """
         return self._classes
+
+    @property
+    def view_forms(self) -> ViewForms:
+        """The catalog's lazily compiled view forms.
+
+        The planner's view-tuple and tuple-core stages fill it; every
+        delta drops the forms of the views it removes or replaces.
+        """
+        return self._forms
 
     # -- versioning and content hashes ---------------------------------------
     @property
@@ -496,9 +553,11 @@ class ViewCatalog:
         the ``catalog_delta`` point aborts the mutation with every
         attribute still describing the old version.  The assignments
         themselves are plain rebinds of already-built objects, so there
-        is no observable intermediate state.  The class memo forgets the
-        touched names last; a lookup in between still misses, because a
-        label only answers for the exact :class:`View` it was made for.
+        is no observable intermediate state.  The class memo and the
+        compiled forms forget the touched names last; a lookup in between
+        still misses, because a label or form only answers for the exact
+        :class:`View` it was made for.  An added name never has a form
+        to drop, so building a catalog does no work here.
         """
         fire("catalog_delta")
         self._views = views
@@ -511,6 +570,8 @@ class ViewCatalog:
         self._blind = None
         self._comparisons = None
         self._classes.drop(view.name for view in delta.added + delta.removed)
+        if delta.removed:
+            self._forms.drop(view.name for view in delta.removed)
 
     # -- lookup ----------------------------------------------------------------
     def get(self, name: str) -> View:

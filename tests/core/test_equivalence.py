@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.datalog import parse_query
 from repro.experiments.paper_examples import car_loc_part
-from repro.planner import PlannerContext
+from repro.planner import PlannerContext, plan
 from repro.views import ViewCatalog, as_view
 from repro.views.view import ViewClassMemo
 
@@ -63,6 +63,9 @@ class TestViewGrouping:
 
 
 class TestCatalogClassMemo:
+    """The catalog-resident per-view state: Section 5.2 class labels and
+    compiled view forms."""
+
     def test_views_sharing_a_name_are_classified_by_definition(self):
         # A label answers only for the View object it was made for.
         views = [as_view("v(A) :- e(A, B)"), as_view("v(A) :- e(B, A)")]
@@ -119,6 +122,70 @@ class TestCatalogClassMemo:
         group_equivalent_views(list(catalog), context, catalog.class_memo)
         assert len(catalog.class_memo) == 0
         assert context.counters["view_class"].misses == 2
+
+    # -- compiled view forms, kept beside the class memo ----------------------
+    QUERY = "q(X, Y) :- e(X, Z), f(Z, Y)"
+    VIEWS = [
+        "v1(A, B) :- e(A, C), f(C, B)",
+        "v2(A, C) :- e(A, C)",
+        "v3(C, B) :- f(C, B)",
+    ]
+
+    def test_a_form_answers_only_for_its_exact_view(self):
+        catalog = ViewCatalog(self.VIEWS)
+        view = catalog.get("v2")
+        form = catalog.view_forms.form(view)
+        assert catalog.view_forms.form(view) is form
+        # Same name and definition, another object: compiled afresh.
+        twin = as_view("v2(A, C) :- e(A, C)")
+        assert catalog.view_forms.form(twin) is not form
+        assert form.key == catalog.view_forms.form(twin).key
+
+    def test_planning_fills_and_deltas_drop_forms(self):
+        catalog = ViewCatalog(self.VIEWS)
+        assert len(catalog.view_forms) == 0  # building compiles nothing
+        plan(parse_query(self.QUERY), catalog, context=PlannerContext())
+        assert len(catalog.view_forms) == 3
+        catalog.remove_view("v1")
+        assert len(catalog.view_forms) == 2
+        catalog.replace_view("v2(A, D) :- e(A, D)")
+        assert len(catalog.view_forms) == 1
+        catalog.add("v4(A) :- e(A, A)")
+        assert len(catalog.view_forms) == 1
+
+    def test_pickled_and_copied_catalogs_start_without_forms(self):
+        catalog = ViewCatalog(self.VIEWS)
+        plan(parse_query(self.QUERY), catalog, context=PlannerContext())
+        assert len(catalog.view_forms) == 3
+        for clone in (
+            pickle.loads(pickle.dumps(catalog)),
+            copy.copy(catalog),
+            copy.deepcopy(catalog),
+        ):
+            assert len(clone.view_forms) == 0
+            assert clone.view_forms is not catalog.view_forms
+
+    def test_planning_leaves_the_pickled_bytes_alone(self):
+        catalog = ViewCatalog(self.VIEWS)
+        query = parse_query(self.QUERY)
+        # The catalog's own index lookups, which every plan() makes,
+        # fill the lookup caches the pickle has always carried.
+        catalog.relevant_views(query)
+        catalog.comparison_atoms()
+        before = pickle.dumps(catalog)
+        plan(query, catalog, context=PlannerContext())
+        assert len(catalog.view_forms) and len(catalog.class_memo)
+        assert pickle.dumps(catalog) == before
+
+    def test_uncached_context_leaves_the_catalog_forms_empty(self):
+        catalog = ViewCatalog(self.VIEWS)
+        query = parse_query(self.QUERY)
+        uncached = plan(query, catalog, context=PlannerContext(caching=False))
+        assert len(catalog.view_forms) == 0
+        cached = plan(query, catalog, context=PlannerContext())
+        assert [str(r) for r in cached.rewritings] == [
+            str(r) for r in uncached.rewritings
+        ]
 
 
 class TestCoreGrouping:

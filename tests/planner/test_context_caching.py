@@ -6,10 +6,14 @@ from cache — measurably fewer homomorphism searches than with caching
 off, with byte-identical rewritings.
 """
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
-from repro import PlannerContext, core_cover
-from repro.workload import WorkloadConfig, generate_workload
+from repro import PlannerContext, ViewCatalog, core_cover, plan
+from repro.workload import WorkloadConfig, chain_query, generate_workload
 
 STAR_RELATIONS = 13
 NUM_VIEWS = 500
@@ -105,6 +109,30 @@ class TestSharedContextAcrossRuns:
             core_cover(star500.query, star500.views, context=context)
             pinned.append(len(context.interner._atom_by_identity))
         assert pinned[1] == pinned[2]
+
+    def test_shared_context_keeps_no_view_alive(self):
+        """A pooled context plans against successive catalog versions; it
+        keeps memoized work keyed on view definitions, never the
+        :class:`View` objects of the versions it planned against."""
+        workload = generate_workload(
+            WorkloadConfig(
+                shape="chain", num_relations=40, num_views=200, seed=SEED
+            )
+        )
+        payload = pickle.dumps(ViewCatalog(workload.views))
+        queries = [chain_query(start, 8) for start in (0, 7, 14, 21, 28)]
+        context = PlannerContext()
+        views = []
+        for _ in range(5):
+            catalog = pickle.loads(payload)
+            views.extend(weakref.ref(view) for view in catalog)
+            for query in queries:
+                plan(query, catalog, context=context)
+            del catalog
+        gc.collect()
+        assert len(views) == 1000
+        assert [ref() for ref in views if ref() is not None] == []
+        assert context.snapshot().cache_hits > 0
 
     def test_stage_times_accumulate(self, star500):
         context = PlannerContext()

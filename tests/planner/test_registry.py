@@ -1,6 +1,7 @@
 """Tests for the rewriter-backend and cost-model registries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     PlannerContext,
@@ -16,6 +17,7 @@ from repro import (
     plan,
 )
 from repro.baselines.inverse_rules import InverseRule
+from repro.datalog import Atom, ConjunctiveQuery, Constant, Variable
 from repro.cost import (
     UnknownCostModelError,
     available_cost_models,
@@ -174,3 +176,36 @@ class TestCostModelRegistry:
     def test_m1_needs_no_data(self):
         assert get_cost_model("m1").needs_data is False
         assert get_cost_model("m2").needs_data is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_m1_choice_is_the_smallest_rendering(self, data):
+        """M1 renders each atom once per call, but still chooses the
+        rewriting with the smallest ``(len(body), str(rewriting))``."""
+        terms = [Variable(name) for name in "XYZ"] + [Constant("a")]
+        atom = st.builds(
+            Atom,
+            st.sampled_from(["v1", "v2", "v3"]),
+            st.tuples(st.sampled_from(terms), st.sampled_from(terms)),
+        )
+        # Shared atom objects, as one call's view tuples are shared.
+        pool = data.draw(st.lists(atom, min_size=1, max_size=6))
+        heads = data.draw(st.lists(atom, min_size=1, max_size=3))
+        length = data.draw(st.integers(min_value=1, max_value=3))
+        rewritings = data.draw(
+            st.lists(
+                st.builds(
+                    ConjunctiveQuery,
+                    st.sampled_from(heads),
+                    st.lists(
+                        st.sampled_from(pool), min_size=length, max_size=length
+                    ).map(tuple),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        chosen = get_cost_model("m1").select(rewritings)
+        expected = min(rewritings, key=lambda r: (len(r.body), str(r)))
+        assert chosen.rewriting is expected
+        assert chosen.cost == float(length)

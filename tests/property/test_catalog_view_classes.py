@@ -303,7 +303,11 @@ class TestBudgetExhaustedMidGrouping:
             assert result.outcome.status is PlanStatus.BUDGET_EXHAUSTED
             labelled = touched & set(catalog.class_memo._labels)
             partial = partial or 0 < len(labelled) < len(touched)
-        assert partial, "no budget stopped grouping part-way"
+        # Grouping a query that touches at most one view has no part-way
+        # point (labelled is either empty or everything): the budget
+        # loop and the oracle comparison still run for it.
+        if len(touched) >= 2:
+            assert partial, "no budget stopped grouping part-way"
         _assert_matches_oracle(catalog, query)
 
 

@@ -29,6 +29,7 @@ from repro.datalog import (
     Variable,
     parse_query,
 )
+from repro.datalog.terms import FreshVariableFactory
 from repro.engine import Database, evaluate
 from repro.planner import PlannerContext
 from repro.views import ViewCatalog, is_equivalent_rewriting
@@ -378,6 +379,151 @@ class TestLemma42Uniqueness:
             maximal = enumerate_consistent_cores(minimized, vt)
             assert len(maximal) <= 1, (str(vt), maximal)
         _assert_shared_frame_cores_agree(minimized, tuples)
+
+
+def _definition_41_mapping(query, covered, targets):
+    """The mapping sending each subgoal in *covered* onto its target
+    atom, position by position; ``None`` when no mapping does."""
+    mapping = {}
+    for index, target in zip(covered, targets):
+        atom = query.body[index]
+        if atom.predicate != target.predicate or atom.arity != target.arity:
+            return None
+        for arg, image in zip(atom.args, target.args):
+            if isinstance(arg, Constant):
+                if arg != image:
+                    return None
+            elif mapping.setdefault(arg, image) != image:
+                return None
+    return mapping
+
+
+def _satisfies_definition_41(query, covered, mapping, tuple_args, fresh):
+    """Properties (1)-(3) of Definition 4.1 for ``mapping: G -> t_v^exp``.
+
+    Read as :mod:`repro.core.tuple_core` states them: a variable maps to
+    itself (exactly when it is a view-tuple argument) or, one-to-one, to
+    a fresh existential variable of the expansion.
+    """
+    images = list(mapping.values())
+    if len(images) != len(set(images)):
+        return False  # (1) one-to-one
+    distinguished = query.distinguished_variables()
+    for variable, image in mapping.items():
+        if variable in tuple_args and image != variable:
+            return False  # (1) identity on the view tuple's arguments
+        if image != variable and image not in fresh:
+            return False  # onto another query term or a view constant
+        if variable in distinguished and image != variable:
+            return False  # (2)
+        if image in fresh:
+            using = {
+                i
+                for i, atom in enumerate(query.body)
+                if variable in atom.variable_set()
+            }
+            if not using <= set(covered):
+                return False  # (3) closure
+    return True
+
+
+def _definition_41_covered_sets(query, view_tuple):
+    """Every covered set with a mapping satisfying Definition 4.1.
+
+    Brute force, independent of the tuple-core search: the expansion is
+    built here, then every subset of query subgoals is tried with every
+    assignment of its subgoals to expansion atoms.
+    """
+    view = view_tuple.view
+    images = dict(zip(view.head_variables, view_tuple.atom.args))
+    fresh = {v: Variable(f"{v.name}#") for v in view.existential_variables()}
+    images.update(fresh)
+    expansion = [
+        Atom(atom.predicate, tuple(images.get(arg, arg) for arg in atom.args))
+        for atom in view.definition.body
+    ]
+    tuple_args = frozenset(view_tuple.atom.args)
+    found = set()
+    n = len(query.body)
+    for size in range(n + 1):
+        for covered in itertools.combinations(range(n), size):
+            for targets in itertools.product(expansion, repeat=size):
+                mapping = _definition_41_mapping(query, covered, targets)
+                if mapping is not None and _satisfies_definition_41(
+                    query, covered, mapping, tuple_args, set(fresh.values())
+                ):
+                    found.add(frozenset(covered))
+                    break
+    return found
+
+
+#: Few predicates and mostly variables, so subgoals often have several
+#: candidate expansion atoms and views often have existential variables.
+CORE_TERMS = st.sampled_from(VARIABLES[:4] * 3 + CONSTANTS[:1])
+
+
+@st.composite
+def core_rules(draw, name, max_body):
+    body = tuple(
+        Atom(predicate, tuple(draw(CORE_TERMS) for _ in range(arity)))
+        for predicate, arity in draw(
+            st.lists(
+                st.sampled_from(PREDICATES[:2] * 3 + PREDICATES[2:]),
+                min_size=1,
+                max_size=max_body,
+            )
+        )
+    )
+    body_vars = sorted(
+        {v for atom in body for v in atom.variables()}, key=lambda v: v.name
+    )
+    head = draw(st.lists(st.sampled_from(body_vars), unique=True)) if body_vars else []
+    return ConjunctiveQuery(Atom(name, tuple(head)), body)
+
+
+@st.composite
+def core_inputs(draw):
+    query = draw(core_rules("q", 4))
+    count = draw(st.integers(min_value=1, max_value=4))
+    views = ViewCatalog(draw(core_rules(f"v{i}", 3)) for i in range(count))
+    return query, views
+
+
+class TestDefinition41Oracle:
+    """The tuple-core equals the unique maximal covered set found by
+    brute force over Definition 4.1, and its mapping satisfies (1)-(3).
+
+    Views draw existential variables and constants.  The oracle never
+    reads the search's candidate lists, so a candidate the search drops
+    or invents shows up here.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(core_inputs())
+    def test_core_is_the_brute_force_maximum(self, drawn):
+        query, catalog = drawn
+        minimized = minimize(query)
+        factory_names = [v.name for v in minimized.variables()]
+        for vt in view_tuples(minimized, catalog):
+            found = _definition_41_covered_sets(minimized, vt)
+            maximal = [g for g in found if not any(g < h for h in found)]
+            assert len(maximal) == 1, (str(vt), maximal)  # Lemma 4.2
+            core = tuple_core(minimized, vt)
+            assert core.covered == maximal[0], str(vt)
+            covered = sorted(core.covered)
+            variables = {
+                v for i in covered for v in minimized.body[i].variables()
+            }
+            mapping = {v: core.mapping.get(v, v) for v in variables}
+            expansion, fresh = vt.expansion(
+                FreshVariableFactory(factory_names)
+            )
+            assert _satisfies_definition_41(
+                minimized, covered, mapping, frozenset(vt.atom.args), fresh
+            ), str(vt)
+            for i in covered:
+                image = Substitution(mapping).apply_atom(minimized.body[i])
+                assert image in expansion, (str(vt), str(image))
 
 
 def _assert_shared_frame_cores_agree(minimized, tuples):

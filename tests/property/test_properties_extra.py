@@ -7,6 +7,7 @@ monotonicity in the buffer pool.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import certain_answers
@@ -14,8 +15,15 @@ from repro.cost import PhysicalPlan, execute_plan
 from repro.cost.iomodel import IoParameters, simulate_plan_io
 from repro.containment import is_equivalent_to
 from repro.datalog import Atom, ConjunctiveQuery, Constant, Variable
+from repro.datalog.atoms import COMPARISON_PREDICATES
 from repro.datalog.sql import SqlSchema, parse_sql, to_sql
-from repro.engine import Database, Project, build_left_deep_tree, evaluate
+from repro.engine import (
+    Database,
+    Project,
+    UnknownRelationError,
+    build_left_deep_tree,
+    evaluate,
+)
 from repro.engine.operators import NestedLoopJoin
 from repro.views import ViewCatalog
 from repro.workload import (
@@ -51,10 +59,11 @@ def queries(draw, min_body=1, max_body=3):
 
 
 @st.composite
-def databases(draw):
+def databases(draw, values=(0, 1, 2, "k", 3), missing=()):
     db = Database()
-    values = [0, 1, 2, "k", 3]
     for predicate, arity in PREDICATES:
+        if predicate in missing:
+            continue
         rows = draw(
             st.lists(
                 st.tuples(*(st.sampled_from(values) for _ in range(arity))),
@@ -90,9 +99,48 @@ class TestSqlRoundTrip:
 
 
 class TestOperatorLayer:
-    @settings(max_examples=40, deadline=None)
-    @given(queries(), databases())
-    def test_left_deep_tree_matches_evaluator(self, query, db):
+    @settings(max_examples=60, deadline=None)
+    @given(queries(), st.data())
+    def test_left_deep_tree_matches_evaluator(self, query, data):
+        """The operator layer is the join kernel's independent oracle,
+        comparison filters (``Select``) and missing relations included."""
+        # Order comparisons only over integer data: "k" < 3 raises, and
+        # the two sides may meet such a pair at different join steps.
+        integers = data.draw(st.booleans())
+        missing = data.draw(
+            st.lists(st.sampled_from([p for p, _ in PREDICATES]), max_size=1)
+        )
+        db = data.draw(
+            databases(
+                values=(0, 1, 2, 3) if integers else (0, 1, 2, "k", 3),
+                missing=missing,
+            )
+        )
+        operators = sorted(COMPARISON_PREDICATES) if integers else ["=", "!="]
+        bound = sorted(query.body_variables(), key=lambda v: v.name)
+        if bound:
+            side = st.one_of(
+                st.sampled_from(bound),
+                st.sampled_from([Constant(1), Constant(2)]),
+            )
+            comparisons = data.draw(
+                st.lists(
+                    st.builds(
+                        lambda op, left, right: Atom(op, (left, right)),
+                        st.sampled_from(operators),
+                        side,
+                        side,
+                    ),
+                    max_size=2,
+                )
+            )
+            query = query.with_body(query.body + tuple(comparisons))
+        relations = query.predicates() - COMPARISON_PREDICATES
+        if any(not db.has_relation(p) for p in relations):
+            with pytest.raises(UnknownRelationError):
+                build_left_deep_tree(query.body, db)
+            assert evaluate(query, db) == frozenset()
+            return
         head_vars = tuple(
             arg for arg in query.head.args if isinstance(arg, Variable)
         )

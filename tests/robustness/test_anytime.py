@@ -194,3 +194,71 @@ class TestMaxRewritings:
             and outcome.exhausted_resource == "rewritings"
         ):
             assert len(outcome.rewritings) <= 1
+
+
+class TestCostRankingBudget:
+    """Cost ranking runs under the call's budget, one checkpoint per
+    priced rewriting.  M2 pricing is slowed per rewriting, so a deadline
+    the rewriting stage cannot reach expires while the set is ranked."""
+
+    REWRITINGS = 40
+    DEADLINE = 0.3
+    PER_REWRITING = 0.02  # 40 x 20 ms: ranking alone outlasts the deadline
+
+    @pytest.fixture()
+    def ranked(self, star_workload, monkeypatch):
+        from repro.cost import estimator, registry
+
+        statistics = estimator.StatisticsCatalog(
+            estimator.RelationStats(view.name, 100, (10,) * view.arity)
+            for view in star_workload.views
+        )
+        original = registry.optimal_plan_m2_estimated
+
+        def slowed(rewriting, catalog):
+            time.sleep(self.PER_REWRITING)
+            return original(rewriting, catalog)
+
+        monkeypatch.setattr(registry, "optimal_plan_m2_estimated", slowed)
+
+        def run(**options):
+            return plan(
+                star_workload.query,
+                star_workload.views,
+                backend="corecover-star",
+                max_rewritings=self.REWRITINGS,
+                cost_model="m2",
+                statistics=statistics,
+                **options,
+            )
+
+        return run
+
+    def test_deadline_expiring_mid_ranking(self, ranked):
+        complete = ranked()
+        assert complete.outcome.status is PlanStatus.COMPLETE
+        assert len(complete.rewritings) == self.REWRITINGS
+        started = time.monotonic()
+        result = ranked(budget=ResourceBudget(deadline_seconds=self.DEADLINE))
+        elapsed = time.monotonic() - started
+        assert elapsed <= self.DEADLINE + EPSILON
+        outcome = result.outcome
+        assert outcome.status is PlanStatus.BUDGET_EXHAUSTED
+        assert outcome.exhausted_resource == "deadline"
+        # The rewriting stage finished: every rewriting is returned, and
+        # certified; the best plan priced before the deadline is chosen.
+        assert result.rewritings == complete.rewritings
+        assert all(r.certified for r in outcome.rewritings)
+        assert len(outcome.rewritings) == self.REWRITINGS
+        assert result.chosen is not None
+        assert result.chosen.rewriting in result.rewritings
+        assert result.chosen.cost >= complete.chosen.cost
+
+    def test_strict_budget_raises_mid_ranking(self, ranked):
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            ranked(
+                budget=ResourceBudget(deadline_seconds=self.DEADLINE),
+                strict_budget=True,
+            )
+        assert time.monotonic() - started <= self.DEADLINE + EPSILON
