@@ -63,10 +63,8 @@ Subcommands::
 * ``figures`` regenerates the Section 7 experiment series (delegates to
   :mod:`repro.experiments.figures`).
 
-``--algorithm`` and ``--model`` still work as deprecated aliases for
-``--backend`` and ``--cost-model``.  As a convenience, ``python -m repro
-"q(X) :- ..." --views v.dl --backend minicon`` (no subcommand) is treated
-as ``rewrite``.
+As a convenience, ``python -m repro "q(X) :- ..." --views v.dl --backend
+minicon`` (no subcommand) is treated as ``rewrite``.
 
 Queries can be given inline or as ``@path/to/file``; view files contain
 one datalog rule per line (``#``/``%`` comments allowed).
@@ -919,21 +917,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return figures.main(forwarded)
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Stores the value like ``store`` but notes the preferred spelling."""
-
-    def __init__(self, option_strings, dest, preferred: str = "", **kwargs):
-        self.preferred = preferred
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"note: {option_string} is deprecated; use {self.preferred}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -952,11 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--backend", default="corecover", metavar="NAME",
             help="rewriter backend (see repro.planner.available_backends())",
-        )
-        command.add_argument(
-            "--algorithm", dest="backend", metavar="NAME",
-            action=_DeprecatedAlias, preferred="--backend",
-            help="(deprecated) alias for --backend",
         )
         command.add_argument("--limit", type=int, default=64,
                              help="cap on enumerated rewritings")
@@ -1012,11 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--cost-model", default="m2", metavar="NAME",
         help="cost model (see repro.cost.available_cost_models())",
-    )
-    optimize.add_argument(
-        "--model", dest="cost_model", metavar="NAME",
-        action=_DeprecatedAlias, preferred="--cost-model",
-        help="(deprecated) alias for --cost-model",
     )
     optimize.add_argument(
         "--annotator", choices=["supplementary", "heuristic"],
@@ -1413,14 +1386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Convenience: a query with --backend/--algorithm but no subcommand is
-    # a rewrite, so `python -m repro "q(X) :- ..." --views v --backend b`
-    # works directly.
+    # Convenience: a query with --backend but no subcommand is a rewrite,
+    # so `python -m repro "q(X) :- ..." --views v --backend b` works
+    # directly.
     if (
         argv
         and argv[0] not in _SUBCOMMANDS
         and not argv[0].startswith("-")
-        and ("--backend" in argv or "--algorithm" in argv)
+        and "--backend" in argv
     ):
         argv = ["rewrite", *argv]
     args = build_parser().parse_args(argv)

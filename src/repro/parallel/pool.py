@@ -48,6 +48,9 @@ __all__ = [
     "catalog_fingerprint",
 ]
 
+#: The most per-view changes a pooled context is upgraded across.
+MAX_DELTA_VIEWS = 4
+
 
 def _config_hash(config: Mapping | None) -> str:
     """Hash of the planner configuration (canonical JSON, order-free)."""
@@ -155,7 +158,7 @@ class PlannerContextPool:
 
     ``acquire_catalog`` is fingerprint-aware: an exact content root
     match is a *hit*; a pooled entry for the same configuration whose
-    catalog differs by at most ``max_delta_views`` per-view changes is
+    catalog differs by at most :data:`MAX_DELTA_VIEWS` per-view changes is
     a *delta hit* — the warm context is upgraded in place (re-keyed,
     removed views retired) instead of cold-starting.  The same catalog
     object acquired again at the same version and configuration is a
@@ -167,12 +170,10 @@ class PlannerContextPool:
         max_entries: int = 4,
         *,
         factory: Callable[[], PlannerContext] = PlannerContext,
-        max_delta_views: int = 4,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self.max_delta_views = max_delta_views
         self._factory = factory
         self._entries: "OrderedDict[str, _PoolEntry]" = OrderedDict()
         self.hits = 0
@@ -199,7 +200,7 @@ class PlannerContextPool:
 
         The event is ``"exact"`` (same content root and configuration),
         ``"delta"`` (a same-configuration entry within
-        ``max_delta_views`` per-view changes was upgraded in place), or
+        :data:`MAX_DELTA_VIEWS` per-view changes was upgraded in place), or
         ``"miss"`` (fresh context).  Delta upgrades are sound without
         any invalidation because every planner memo is keyed on
         structural content; removed views are retired from the upgraded
@@ -263,7 +264,7 @@ class PlannerContextPool:
             if pooled.config_hash != fingerprint.config_hash:
                 continue
             delta = fingerprint.delta(pooled)
-            if delta > self.max_delta_views:
+            if delta > MAX_DELTA_VIEWS:
                 continue
             if best is None or delta < best[0]:
                 best = (delta, key, entry)

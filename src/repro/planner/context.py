@@ -353,9 +353,12 @@ class PlannerContext:
             for key in [k for k in cache if k[1] in def_keys]:
                 del cache[key]
                 dropped += 1
+        # A definition the interner never saw has no containment or join
+        # tree entry, so the lookup must not intern (and pin) it.
         query_keys = {
-            self.interner.query_key(view.definition) for view in views
+            self.interner.find_query_key(view.definition) for view in views
         }
+        query_keys.discard(None)
         dropped += self.containment.evict_query_keys(query_keys)
         for key in [k for k in self._join_trees if k in query_keys]:
             del self._join_trees[key]

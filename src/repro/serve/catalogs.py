@@ -7,13 +7,17 @@ requests stop re-shipping view definitions, and the per-worker warm
 :class:`~repro.parallel.pool.PlannerContextPool` keys on the catalog's
 content fingerprint, so repeated requests hit warm contexts.
 
-Updates go through :meth:`ViewCatalog.add_view` / ``remove_view`` /
-``replace_view``, which emit :class:`~repro.views.view.CatalogDelta`
-records and advance the catalog's version and Merkle content root
-in place.  Because worker-side context pools fingerprint catalogs
-structurally (per-view hashes), a small update delta-upgrades warm
-contexts instead of cold-starting them — the ``delta_hits`` counter in
-``stats`` is this machinery paying off.
+An update is **staged**: its removes, replaces and adds run through
+:meth:`ViewCatalog.remove_view` / ``replace_view`` / ``add_view`` on a
+``copy.copy`` of the published catalog, which emit
+:class:`~repro.views.view.CatalogDelta` records and advance the copy's
+version.  The copy is audited and journaled, then published whole, so
+a published catalog is never changed and versions stay monotone per
+name.  Journal replay stages update records through the same function.
+Because worker-side context pools fingerprint catalogs structurally
+(per-view hashes), a small update delta-upgrades warm contexts instead
+of cold-starting them — the ``delta_hits`` counter in ``stats`` is this
+machinery paying off.
 
 Durability
 ==========
@@ -33,19 +37,20 @@ requests naming it get a structured
 plans computed from wrong view definitions, until a re-registration
 replaces it wholesale.
 
-The commit protocol orders validation → in-memory apply → audit →
-journal append (fsync) → acknowledge, rolling the in-memory state back
-whenever a later step fails, so the served state never runs ahead of
-the journal: a daemon SIGKILLed mid-commit restarts serving exactly
-the acknowledged prefix of operations.
+The commit protocol orders validation → staged apply → audit →
+journal append (fsync) → publish → acknowledge.  A step that fails
+before publishing leaves the published catalog as it was, so the
+served state never runs ahead of the journal: a daemon SIGKILLed
+mid-commit restarts serving exactly the acknowledged prefix of
+operations, in the same registration order.
 
 With ``audit_fail_on`` set, every registration and update runs the
 incremental catalog audit (:mod:`repro.analysis.catalog`) as a
 **preflight**: a catalog whose findings reach the configured severity is
 rejected with :class:`~repro.errors.AnalysisError` (exit 73 on the
-client) *before* it becomes visible to plan requests — a registration
-never installs, and an update rolls its deltas back, leaving the
-previously accepted content in place.  The same preflight re-runs over
+client) *before* it becomes visible to plan requests — neither a
+registration nor an update is installed, leaving the previously
+accepted content in place.  The same preflight re-runs over
 every *recovered* catalog, quarantining (not serving) content that no
 longer passes the gate.  One persistent
 :class:`~repro.analysis.catalog.CatalogAuditor` per catalog name keeps
@@ -59,11 +64,12 @@ tests and benchmarks).
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..analysis.diagnostics import Severity
 from ..errors import (
@@ -178,7 +184,7 @@ class CatalogRegistry:
                         continue
                     self._rebuild(
                         str(name),
-                        entry.get("views", ()),
+                        lambda: _from_texts(entry.get("views", ())),
                         entry.get("root"),
                         source=f"snapshot seq {base_seq}",
                     )
@@ -234,16 +240,14 @@ class CatalogRegistry:
     def _rebuild(
         self,
         name: str,
-        views: object,
+        build: Callable[[], ViewCatalog],
         expected_root: object,
         *,
         source: str,
     ) -> None:
-        """Reconstruct one catalog and verify its content root."""
+        """Reconstruct one catalog with *build* and verify its content root."""
         try:
-            if not isinstance(views, (list, tuple)):
-                raise ValueError("view texts are not a list")
-            catalog = ViewCatalog(str(text) for text in views)
+            catalog = build()
         except Exception as exc:
             self._catalogs.pop(name, None)
             self._quarantine(
@@ -277,7 +281,7 @@ class CatalogRegistry:
         if kind == "register":
             self._rebuild(
                 name,
-                op.get("views", ()),
+                lambda: _from_texts(op.get("views", ())),
                 op.get("root"),
                 source=f"journal replay (seq {op.get('seq')})",
             )
@@ -285,37 +289,12 @@ class CatalogRegistry:
         if kind == "update":
             if name in self._quarantined:
                 return  # already refusing service; nothing to update
-            try:
-                catalog = self._catalogs[name]
-                for view_name in op.get("remove", ()):
-                    catalog.remove_view(str(view_name))
-                for text in op.get("replace", ()):
-                    catalog.replace_view(str(text))
-                for text in op.get("add", ()):
-                    catalog.add_view(str(text))
-            except Exception as exc:
-                self._catalogs.pop(name, None)
-                self._quarantine(
-                    name,
-                    _Quarantine(
-                        f"journal replay failed at seq {op.get('seq')}: "
-                        f"{exc}"
-                    ),
-                )
-                return
-            expected = op.get("root")
-            actual = catalog.content_root()
-            if expected is not None and actual != expected:
-                self._catalogs.pop(name, None)
-                self._quarantine(
-                    name,
-                    _Quarantine(
-                        f"content root mismatch after journal replay "
-                        f"(seq {op.get('seq')})",
-                        expected_root=str(expected),
-                        actual_root=actual,
-                    ),
-                )
+            self._rebuild(
+                name,
+                lambda: _stage_update(self._catalogs[name], op)[0],
+                op.get("root"),
+                source=f"journal replay (seq {op.get('seq')})",
+            )
             return
         # An unknown operation kind is a future-format record; the
         # catalog it names can no longer be trusted to be current.
@@ -554,69 +533,39 @@ class CatalogRegistry:
 
         The catalog *name* is validated first — an unknown (or
         quarantined) name reports its registry-level error even when
-        the view payload is also malformed.  View texts are then parsed
-        before anything mutates, so a parse error leaves the catalog
-        untouched.  Removals run first (so a rename expressed as
-        remove+add is order-independent), then replacements, then
-        additions.  Every mutation's
+        the view payload is also malformed.  The update is then staged
+        on a copy (see :func:`_stage_update`), audited and journaled
+        there, and published whole.  Every mutation's
         :class:`~repro.views.view.CatalogDelta` is echoed in the
         acknowledgement so the client can audit exactly what changed
-        and at which version.  A durable registry journals the update
-        (post-audit) before acknowledging; any rejected or failed step
-        rolls the applied deltas back.
+        and at which version.  Any rejected or failed step leaves the
+        published catalog untouched: the same object, order, version
+        and root.
         """
         catalog = self.get(name)
-        # Parse every incoming text before the first mutation: a bad
-        # third view must not leave the first two half-applied.
-        remove_names = [str(view_name) for view_name in remove]
-        replace_texts = [str(text) for text in replace]
-        add_texts = [str(text) for text in add]
-        replace_views = [as_view(text) for text in replace_texts]
-        add_views = [as_view(text) for text in add_texts]
-        deltas: list[CatalogDelta] = []
-        try:
-            for view_name in remove_names:
-                deltas.append(catalog.remove_view(view_name))
-            for view in replace_views:
-                deltas.append(catalog.replace_view(view))
-            for view in add_views:
-                deltas.append(catalog.add_view(view))
-        except Exception:
-            _roll_back(catalog, deltas)
-            raise
-        content_root = catalog.content_root()
+        op = {
+            "op": "update",
+            "name": name,
+            "remove": [str(view_name) for view_name in remove],
+            "replace": [str(text) for text in replace],
+            "add": [str(text) for text in add],
+        }
+        staged, deltas = _stage_update(catalog, op)
+        op["root"] = staged.content_root()
         ack = {
             "catalog": name,
             "action": "update",
             "deltas": [str(delta) for delta in deltas],
-            "views": len(catalog),
-            "version": catalog.version,
-            "content_root": content_root,
+            "views": len(staged),
+            "version": staged.version,
+            "content_root": op["root"],
         }
         if self.auditing:
-            try:
-                report = self._audit(name, catalog)
-            except AnalysisError:
-                _roll_back(catalog, deltas)
-                raise
-            ack["audit"] = _audit_ack(report)
-        try:
-            self._journal_op(
-                {
-                    "op": "update",
-                    "name": name,
-                    "remove": remove_names,
-                    "replace": replace_texts,
-                    "add": add_texts,
-                    "root": content_root,
-                }
-            )
-        except Exception:
-            # Never acknowledge (or serve) state the journal does not
-            # hold: the in-memory apply is undone before re-raising.
-            _roll_back(catalog, deltas)
-            raise
+            ack["audit"] = _audit_ack(self._audit(name, staged))
+        # Never acknowledge (or serve) state the journal does not hold.
+        self._journal_op(op)
         with self._lock:
+            self._catalogs[name] = staged
             self.updates += 1
         self._maybe_checkpoint()
         return ack
@@ -690,18 +639,29 @@ def _audit_ack(report: "AuditReport") -> dict:
     }
 
 
-def _roll_back(catalog: ViewCatalog, deltas: Iterable[CatalogDelta]) -> None:
-    """Undo *deltas* (newest first) after a rejected or failed commit.
+def _from_texts(views: object) -> ViewCatalog:
+    """A catalog from journaled or snapshotted view texts."""
+    if not isinstance(views, (list, tuple)):
+        raise ValueError("view texts are not a list")
+    return ViewCatalog(str(text) for text in views)
 
-    Inverses restore the exact pre-update *content* (the Merkle root
-    matches) — a re-added removed view returns at the end of the
-    registration order, which no plan result and no audit fingerprint
-    observes, though pair-rule attribution ("older"/"newer") can shift.
+
+def _stage_update(
+    catalog: ViewCatalog, op: Mapping
+) -> tuple[ViewCatalog, list[CatalogDelta]]:
+    """Apply an update *op* to a copy of *catalog*; return it and its deltas.
+
+    Live updates and journal replay both run this.  Every text is parsed
+    before the first delta, so a parse error outranks an unknown or
+    duplicate view.  Removals run first (so a rename expressed as
+    remove+add is order-independent), then replacements, then
+    additions.  The copy shares *catalog*'s dicts, which deltas never
+    edit in place, so *catalog* itself is never touched.
     """
-    for delta in reversed(list(deltas)):
-        if delta.added and delta.removed:
-            catalog.replace_view(delta.removed[0])
-        elif delta.added:
-            catalog.remove_view(delta.added[0].name)
-        elif delta.removed:
-            catalog.add_view(delta.removed[0])
+    replace = [as_view(str(text)) for text in op.get("replace", ())]
+    add = [as_view(str(text)) for text in op.get("add", ())]
+    staged = copy.copy(catalog)
+    deltas = [staged.remove_view(str(name)) for name in op.get("remove", ())]
+    deltas += [staged.replace_view(view) for view in replace]
+    deltas += [staged.add_view(view) for view in add]
+    return staged, deltas

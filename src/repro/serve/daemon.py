@@ -543,8 +543,8 @@ class PlanningDaemon:
         self.admission.record_service_time(self._loop.time() - started)
         if outcome.status == "degraded":
             self.degraded_served += 1
-        self._absorb_profile(outcome.to_json())
         response = outcome.to_json()
+        self._absorb_profile(response)
         response["id"] = item.rid
         await self._send(item.writer, item.lock, response)
 

@@ -30,7 +30,8 @@ point              fired from
                      per task a pool worker serves
 ``catalog_delta``  :meth:`repro.views.view.ViewCatalog._commit`, once per
                    add/remove/replace delta, before the copy-on-write
-                   successor state is installed
+                   successor state is installed; construction does not
+                   fire it, because nothing is published yet
 ``serve_admission``  :meth:`repro.serve.admission.AdmissionController.admit`,
                      once per admission decision (after the shedding
                      checks pass, before the request is enqueued)

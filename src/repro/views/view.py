@@ -18,12 +18,13 @@ monotone **version** number:
 * **per-view content hashes** and a Merkle-style **catalog root** over
   them, which is what the warm-context pool and the plan cache key on
   (two catalogs agree on the root exactly when they agree view by
-  view); and
+  view); the root is computed on first read after a change; and
 * a **delta API** — :meth:`ViewCatalog.add_view` /
-  :meth:`ViewCatalog.remove_view` return a :class:`CatalogDelta`
-  recording what changed between two consecutive versions, so callers
-  (warm pools, plan caches, planner contexts) can invalidate per view
-  instead of discarding everything; and
+  :meth:`ViewCatalog.remove_view` / :meth:`ViewCatalog.replace_view`
+  return a :class:`CatalogDelta` recording what changed between two
+  consecutive versions, so callers (warm pools, plan caches, planner
+  contexts) can invalidate per view instead of discarding everything;
+  and
 * a lazily filled :class:`ViewClassMemo` of the Section 5.2 view
   equivalence classes (:attr:`ViewCatalog.class_memo`), which the
   planner's grouping stage fills and reads, and every delta prunes; and
@@ -31,11 +32,17 @@ monotone **version** number:
   each view's definition as a :class:`~repro.engine.evaluate.SlotForm`,
   the join kernel the view-tuple and tuple-core stages run.
 
-Mutations are **copy-on-write**: the successor index and view map are
-built off to the side and committed with plain attribute assignments
-only after the ``catalog_delta`` fault-injection point has passed.  A
-fault (or any exception) mid-delta therefore leaves the catalog on its
-old, fully consistent version — no torn index, no half-registered view.
+Every change takes one path: the three mutators and construction hand
+the views they add and remove to one **copy-on-write** successor
+builder.  The successor index and view map are built off to the side
+and committed with plain attribute assignments only after the
+``catalog_delta`` fault-injection point has passed.  A fault (or any
+exception) mid-delta therefore leaves the catalog on its old, fully
+consistent version — no torn index, no half-registered view.
+Construction feeds the builder every view at once, so building n views
+copies no dict per view and computes no root.  Published dicts are
+never edited in place, so a ``copy.copy`` of a catalog (which shares
+them) can be changed without touching the original.
 """
 
 from __future__ import annotations
@@ -143,8 +150,6 @@ class CatalogDelta:
     removed: tuple[View, ...]
     old_version: int
     new_version: int
-    old_root: str
-    new_root: str
 
     @property
     def touched(self) -> int:
@@ -349,13 +354,14 @@ class ViewCatalog:
         self._index: dict[tuple[str, int], tuple[str, ...]] = {}
         #: View name -> registration sequence (orders index hits).
         self._order: dict[str, int] = {}
-        #: Next registration sequence number (never reused).
+        #: Next registration sequence number (never reused; it advances
+        #: with the version).
         self._sequence = 0
-        #: Monotone catalog version: +1 per successful mutation.
+        #: Monotone catalog version: +1 per view name a change touches.
         self._version = 0
         #: Per-view content hashes (name -> sha256 hex).
         self._hashes: dict[str, str] = {}
-        #: Cached Merkle root; ``None`` = recompute on next access.
+        #: Cached Merkle root; ``None`` = compute on next read.
         self._root: str | None = None
         #: Cached names of comparison-only views (empty predicate
         #: signature); ``None`` = rebuild on next index lookup.  These
@@ -370,8 +376,17 @@ class ViewCatalog:
         self._classes = ViewClassMemo()
         #: Compiled view forms, filled by the planner, never here.
         self._forms = ViewForms()
-        for view in views:
-            self.add(view)
+        added: dict[str, View] = {}
+        for item in views:
+            view = as_view(item)
+            if view.name in added:
+                raise DuplicateViewError(
+                    f"duplicate view name {view.name!r}"
+                )
+            added[view.name] = view
+        # One change for every view.  Nothing is published yet, so it
+        # installs without firing ``catalog_delta``.
+        self._install(*self._successor(tuple(added.values()), ()))
 
     # -- pickling and copying ------------------------------------------------
     def __getstate__(self) -> dict[str, Any]:
@@ -409,7 +424,11 @@ class ViewCatalog:
     # -- versioning and content hashes ---------------------------------------
     @property
     def version(self) -> int:
-        """Monotone version counter, bumped by every successful mutation."""
+        """Monotone version counter, bumped by every successful mutation.
+
+        Each change advances it by the number of view names it touches,
+        so a catalog built from n views is at version n.
+        """
         return self._version
 
     def view_hashes(self) -> Mapping[str, str]:
@@ -421,7 +440,8 @@ class ViewCatalog:
 
         The root is the SHA-256 of the sorted per-view hashes, so it is
         independent of registration order and changes exactly when some
-        view's rendered definition (or the set of views) changes.
+        view's rendered definition (or the set of views) changes.  It is
+        computed on the first read after a change and cached.
         """
         if self._root is None:
             self._root = catalog_content_root(self._hashes)
@@ -446,27 +466,7 @@ class ViewCatalog:
         view = as_view(view)
         if view.name in self._views:
             raise DuplicateViewError(f"duplicate view name {view.name!r}")
-        old_root = self.content_root()
-        # Build the successor state off to the side (copy-on-write).
-        new_views = dict(self._views)
-        new_views[view.name] = view
-        new_index = dict(self._index)
-        for pair in sorted(view.predicate_signature()):
-            new_index[pair] = new_index.get(pair, ()) + (view.name,)
-        new_order = dict(self._order)
-        new_order[view.name] = self._sequence
-        new_hashes = dict(self._hashes)
-        new_hashes[view.name] = view_content_hash(view)
-        delta = CatalogDelta(
-            added=(view,),
-            removed=(),
-            old_version=self._version,
-            new_version=self._version + 1,
-            old_root=old_root,
-            new_root=catalog_content_root(new_hashes),
-        )
-        self._commit(delta, new_views, new_index, new_order, new_hashes)
-        return delta
+        return self._commit((view,), ())
 
     def remove_view(self, name: str) -> CatalogDelta:
         """Remove the view registered under *name*; return the delta.
@@ -475,100 +475,97 @@ class ViewCatalog:
         Copy-on-write like :meth:`add_view`: a fault mid-delta leaves
         the view registered and the index untouched.
         """
-        view = self.get(name)
-        old_root = self.content_root()
-        new_views = dict(self._views)
-        del new_views[name]
-        new_index = dict(self._index)
-        for pair in sorted(view.predicate_signature()):
-            remaining = tuple(n for n in new_index.get(pair, ()) if n != name)
-            if remaining:
-                new_index[pair] = remaining
-            else:
-                new_index.pop(pair, None)
-        new_order = dict(self._order)
-        del new_order[name]
-        new_hashes = dict(self._hashes)
-        del new_hashes[name]
-        delta = CatalogDelta(
-            added=(),
-            removed=(view,),
-            old_version=self._version,
-            new_version=self._version + 1,
-            old_root=old_root,
-            new_root=catalog_content_root(new_hashes),
-        )
-        self._commit(delta, new_views, new_index, new_order, new_hashes)
-        return delta
+        return self._commit((), (self.get(name),))
 
     def replace_view(self, view: View | ConjunctiveQuery | str) -> CatalogDelta:
         """Swap in a new definition for an existing name; return the delta.
 
         Equivalent to remove + add under **one** version bump, so pool
         and cache consumers see a single-view delta rather than two.
+        The name keeps its registration slot.
         """
         view = as_view(view)
-        old = self.get(view.name)
-        old_root = self.content_root()
-        new_views = dict(self._views)
-        new_views[view.name] = view
-        new_index = dict(self._index)
-        stale = old.predicate_signature() - view.predicate_signature()
-        fresh = view.predicate_signature() - old.predicate_signature()
-        for pair in sorted(stale):
-            remaining = tuple(
-                n for n in new_index.get(pair, ()) if n != view.name
-            )
-            if remaining:
-                new_index[pair] = remaining
-            else:
-                new_index.pop(pair, None)
-        for pair in sorted(fresh):
-            new_index[pair] = new_index.get(pair, ()) + (view.name,)
-        new_order = dict(self._order)  # keeps the original sequence slot
-        new_hashes = dict(self._hashes)
-        new_hashes[view.name] = view_content_hash(view)
-        delta = CatalogDelta(
-            added=(view,),
-            removed=(old,),
-            old_version=self._version,
-            new_version=self._version + 1,
-            old_root=old_root,
-            new_root=catalog_content_root(new_hashes),
-        )
-        self._commit(delta, new_views, new_index, new_order, new_hashes)
-        return delta
+        return self._commit((view,), (self.get(view.name),))
 
     def _commit(
-        self,
-        delta: CatalogDelta,
-        views: dict[str, View],
-        index: dict[tuple[str, int], tuple[str, ...]],
-        order: dict[str, int],
-        hashes: dict[str, str],
-    ) -> None:
-        """Atomically install a fully-built successor state.
+        self, added: tuple[View, ...], removed: tuple[View, ...]
+    ) -> CatalogDelta:
+        """Build the successor state, fire ``catalog_delta``, install it.
 
-        ``fire`` sits *before* the assignments: a chaos fault raised at
-        the ``catalog_delta`` point aborts the mutation with every
-        attribute still describing the old version.  The assignments
-        themselves are plain rebinds of already-built objects, so there
-        is no observable intermediate state.  The class memo and the
-        compiled forms forget the touched names last; a lookup in between
-        still misses, because a label or form only answers for the exact
-        :class:`View` it was made for.  An added name never has a form
-        to drop, so building a catalog does no work here.
+        ``fire`` sits *before* the install: a chaos fault raised at the
+        ``catalog_delta`` point aborts the mutation with every attribute
+        still describing the old version.
         """
+        delta, state = self._successor(added, removed)
         fire("catalog_delta")
-        self._views = views
-        self._index = index
-        self._order = order
-        self._hashes = hashes
-        self._sequence += 1
+        self._install(delta, state)
+        return delta
+
+    def _successor(
+        self, added: tuple[View, ...], removed: tuple[View, ...]
+    ) -> tuple[CatalogDelta, tuple]:
+        """The state after *removed* leave and *added* join, built aside.
+
+        A name in both is replaced in place: it keeps its registration
+        slot and its index positions for pairs both definitions mention.
+        New names take the next sequence slots in *added* order and join
+        the end of their index tuples, so one change adding n views
+        equals n :meth:`add_view` calls.  The version and the sequence
+        advance by the number of names touched.  Published dicts are
+        copied, never edited: a ``copy.copy`` of the catalog shares them.
+        """
+        views = dict(self._views)
+        index = dict(self._index)
+        order = dict(self._order)
+        hashes = dict(self._hashes)
+        old = {view.name: view.predicate_signature() for view in removed}
+        new = {view.name: view.predicate_signature() for view in added}
+        for name, signature in old.items():
+            for pair in signature - new.get(name, frozenset()):
+                remaining = tuple(n for n in index[pair] if n != name)
+                if remaining:
+                    index[pair] = remaining
+                else:
+                    del index[pair]
+            if name not in new:
+                del views[name], order[name], hashes[name]
+        slot = self._sequence
+        joined: dict[tuple[str, int], list[str]] = {}
+        for view in added:
+            name = view.name
+            views[name] = view
+            hashes[name] = view_content_hash(view)
+            if name not in old:
+                order[name] = slot
+                slot += 1
+            for pair in sorted(new[name] - old.get(name, frozenset())):
+                joined.setdefault(pair, []).append(name)
+        for pair, names in joined.items():
+            index[pair] = index.get(pair, ()) + tuple(names)
+        touched = len(old.keys() | new.keys())
+        delta = CatalogDelta(
+            added=added,
+            removed=removed,
+            old_version=self._version,
+            new_version=self._version + touched,
+        )
+        return delta, (views, index, order, hashes, self._sequence + touched)
+
+    def _install(self, delta: CatalogDelta, state: tuple) -> None:
+        """Install a fully built successor *state* as *delta*'s version.
+
+        The assignments are plain rebinds of already-built objects, so
+        there is no observable intermediate state.  The root and the
+        other derived caches are recomputed on first read.  The class
+        memo and the compiled forms forget the touched names last; a
+        lookup in between still misses, because a label or form only
+        answers for the exact :class:`View` it was made for.
+        """
+        self._views, self._index, self._order, self._hashes, self._sequence = (
+            state
+        )
         self._version = delta.new_version
-        self._root = delta.new_root
-        self._blind = None
-        self._comparisons = None
+        self._root = self._blind = self._comparisons = None
         self._classes.drop(view.name for view in delta.added + delta.removed)
         if delta.removed:
             self._forms.drop(view.name for view in delta.removed)

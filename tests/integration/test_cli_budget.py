@@ -90,7 +90,7 @@ class TestTaxonomyExitCodes:
     def test_unknown_backend_exits_70(self, clp, capsys):
         query, views, _data = clp
         code = main(
-            ["rewrite", query, "--views", views, "--algorithm", "nope"]
+            ["rewrite", query, "--views", views, "--backend", "nope"]
         )
         captured = capsys.readouterr()
         assert code == 70

@@ -175,9 +175,9 @@ class TestDeltaUpgrade:
         assert third is first and event3 == "exact"
 
     def test_large_delta_is_a_miss(self, catalog):
-        pool = PlannerContextPool(4, max_delta_views=2)
+        pool = PlannerContextPool(4)
         first, _ = pool.acquire_catalog(catalog)
-        for i in range(3):
+        for i in range(5):
             catalog.add(f"w{i}(A) :- b(A, A)")
         second, event = pool.acquire_catalog(catalog)
         assert event == "miss" and second is not first

@@ -1,19 +1,27 @@
 """Audit preflight on catalog register/update — registry and daemon.
 
 With ``--audit-fail-on`` set, a catalog whose C1xx findings reach the
-threshold never becomes visible to plan requests: a rejected
-registration is not installed and a rejected update is rolled back.
+threshold never becomes visible to plan requests: neither a rejected
+registration nor a rejected update is installed, and a refused update
+leaves the published catalog exactly as it was.
 Rejections travel as structured :class:`AnalysisError` frames (exit 73
 through ``serve send``) carrying the offending diagnostics.
 """
 
 import json
+import pickle
 
 import pytest
 
-from repro.errors import AnalysisError, UnknownViewError
+from repro import parse_query, plan
+from repro.errors import (
+    AnalysisError,
+    CatalogCorruptionError,
+    UnknownViewError,
+)
 from repro.serve import ServeClient, ServeConfig
 from repro.serve.catalogs import CatalogRegistry
+from repro.serve.journal import CatalogJournal
 from repro.serve.testing import running_daemon
 from repro.parallel import SupervisorPolicy
 from repro.parallel.worker import WorkerConfig
@@ -115,6 +123,73 @@ class TestRegistryPreflight:
             "warning": 1,
             "info": 0,
         }
+
+
+# v5 is equivalent to v1, so Section 5.2 plans on whichever of the two
+# comes first in registration order.
+EQUIVALENT = [
+    "v1(X, Y) :- car(X, Y)",
+    "v5(A, B) :- car(A, B), car(A, C)",
+    "w(Y, Z) :- loc(Y, Z)",
+]
+
+
+# Each refusal registers EQUIVALENT as "t" and returns the registry, an
+# update it refuses, and the error that refusal raises.
+def _refuse_ghost_removal(tmp_path, monkeypatch):
+    registry = CatalogRegistry()
+    registry.register("t", EQUIVALENT)
+    return registry, {"remove": ["v1", "ghost"]}, UnknownViewError
+
+
+def _refuse_by_audit(tmp_path, monkeypatch):
+    registry = CatalogRegistry(audit_fail_on="error")
+    registry.register("t", EQUIVALENT)
+    return registry, {"remove": ["v1"], "add": [UNSAT]}, AnalysisError
+
+
+def _refuse_by_journal(tmp_path, monkeypatch):
+    def failing_append(self, op):
+        raise OSError("disk full")
+
+    registry = CatalogRegistry(state_dir=tmp_path, journal_fsync=False)
+    registry.register("t", EQUIVALENT)
+    monkeypatch.setattr(CatalogJournal, "append", failing_append)
+    return registry, {"remove": ["v1"]}, CatalogCorruptionError
+
+
+class TestRefusedUpdateLeavesCatalog:
+    """A refused or failed update never touches the published catalog:
+    not its object, registration order, version, root or pickle bytes,
+    so it keeps answering with the class representative it had."""
+
+    @pytest.mark.parametrize(
+        "refusal",
+        [_refuse_ghost_removal, _refuse_by_audit, _refuse_by_journal],
+        ids=["unknown-view", "audit", "journal-append"],
+    )
+    def test_published_catalog_is_untouched(
+        self, refusal, tmp_path, monkeypatch
+    ):
+        registry, update, error = refusal(tmp_path, monkeypatch)
+        catalog = registry.get("t")
+        names = catalog.names()
+        version = catalog.version
+        root = catalog.content_root()
+        payload = pickle.dumps(catalog)
+        with pytest.raises(error):
+            registry.update("t", **update)
+        assert registry.get("t") is catalog
+        assert catalog.names() == names == ("v1", "v5", "w")
+        assert catalog.version == version == 3
+        assert catalog.content_root() == root
+        assert pickle.dumps(catalog) == payload
+        assert registry.updates == 0
+        result = plan(parse_query(QUERY), catalog)
+        assert [str(r) for r in result.rewritings] == [
+            "q(X, Z) :- v1(X, Y), w(Y, Z)"
+        ]
+        registry.close()
 
 
 class TestDaemonPreflight:

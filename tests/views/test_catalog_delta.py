@@ -8,8 +8,11 @@ identically to a from-scratch rebuild, and a fault injected mid-delta
 consistent version with no torn index.
 """
 
+import pickle
+
 import pytest
 
+from repro.datalog.query import MalformedQueryError
 from repro.errors import DuplicateViewError, UnknownViewError
 from repro.testing.faults import RaiseFault, inject
 from repro.views import CatalogDelta, ViewCatalog, as_view, view_content_hash
@@ -39,8 +42,7 @@ class TestVersioning:
         delta = catalog.add_view(as_view("v4(A) :- d(A, A)"))
         assert isinstance(delta, CatalogDelta)
         assert delta.old_version + 1 == delta.new_version == catalog.version
-        assert delta.old_root == old_root
-        assert delta.new_root == catalog.content_root() != old_root
+        assert catalog.content_root() != old_root
         assert [v.name for v in delta.added] == ["v4"]
         assert delta.removed == ()
 
@@ -81,6 +83,44 @@ class TestIndex:
             assert [
                 v.name for v in catalog.views_for_predicates([pair])
             ] == [v.name for v in rebuilt.views_for_predicates([pair])]
+        # Construction is one change for every view, and equals one add
+        # per view on every observable, pickle bytes included.
+        texts = [str(view) for view in catalog] + [
+            "v5(A, B) :- e(A, B), a(A, B)",
+            "v6(A) :- c(A, A), A < 3",
+        ]
+        built = ViewCatalog(texts)
+        grown = ViewCatalog()
+        for text in texts:
+            grown.add(text)
+        assert built.names() == grown.names() == ("v1", "v3", "v4", "v5", "v6")
+        assert built.version == grown.version == len(texts)
+        assert built.indexed_predicates() == grown.indexed_predicates()
+        for pair in built.indexed_predicates():
+            assert [
+                v.name for v in built.views_for_predicates([pair])
+            ] == [v.name for v in grown.views_for_predicates([pair])]
+        assert built.view_hashes() == grown.view_hashes()
+        assert list(built.view_hashes()) == list(grown.view_hashes())
+        assert built.content_root() == grown.content_root()
+        assert pickle.dumps(built) == pickle.dumps(grown)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("v1(A) :- z(A, A)", DuplicateViewError),
+         ("v9(A, A) :- z(A, A)", MalformedQueryError)],
+    )
+    def test_construction_raises_on_the_view_add_would(self, bad, error):
+        texts = ["v1(A) :- a(A, A)", "v2(A) :- b(A, A)", bad, "v2(A) :- c"]
+        grown = ViewCatalog()
+        with pytest.raises(error) as incremental:
+            for text in texts:
+                grown.add(text)
+        with pytest.raises(error) as at_once:
+            ViewCatalog(texts)
+        assert str(at_once.value) == str(incremental.value)
+        assert grown.names() == ("v1", "v2")
+
 
     def test_no_shared_predicate_prunes_to_nothing(self):
         from repro import parse_query
@@ -93,6 +133,31 @@ class TestIndex:
     def test_comparison_atoms_stay_out_of_the_index(self):
         catalog = ViewCatalog(["v1(A, B) :- a(A, B), A < B"])
         assert catalog.indexed_predicates() == frozenset({("a", 2)})
+
+
+class TestLazyRoot:
+    def test_building_computes_no_root_until_read(self, monkeypatch):
+        from repro.views import view as view_module
+
+        calls = []
+        real = view_module.catalog_content_root
+
+        def counting(hashes):
+            calls.append(len(hashes))
+            return real(hashes)
+
+        monkeypatch.setattr(view_module, "catalog_content_root", counting)
+        catalog = ViewCatalog(
+            f"v{i}(A, B) :- r{i % 7}(A, B), s{i % 5}(B, A)" for i in range(200)
+        )
+        assert calls == []
+        root = catalog.content_root()
+        assert catalog.content_root() == root
+        assert calls == [200]
+        catalog.add("w(A) :- r0(A, A)")
+        assert calls == [200]
+        assert catalog.content_root() != root
+        assert calls == [200, 201]
 
 
 class TestChaosSafety:
