@@ -1,13 +1,13 @@
 """Steady-state serve latency vs per-request cold ``repro batch``.
 
-The daemon's whole reason to exist: a resident process with warm
-planner-context pools answers a request for the price of a socket
-round-trip plus planning, while the one-shot CLI pays interpreter
-startup, imports, and catalog parsing *per request*.  This benchmark
-prices both sides — warm p50/p99 over a live daemon, cold wall time of
-a single-request ``repro batch`` subprocess — and asserts the headline
-``serve_warm_speedup`` (cold / warm p50) is at least 2x.  All numbers
-land in ``BENCH_corecover.json``.
+The daemon's whole reason to exist: a resident process whose workers
+each hold a warm planner context answers a request for the price of a
+socket round-trip plus planning, while the one-shot CLI pays
+interpreter startup, imports, and catalog parsing *per request*.  This
+benchmark prices both sides — warm p50/p99 over a live daemon, cold
+wall time of a single-request ``repro batch`` subprocess — and asserts
+the headline ``serve_warm_speedup`` (cold / warm p50) is at least 2x.
+All numbers land in ``BENCH_corecover.json``.
 
 The second test is the backpressure sanity check: a 2x-overload burst
 against a small admission queue must shed *some* requests (bounded
@@ -86,7 +86,7 @@ def test_serve_warm_latency_vs_cold_batch(benchmark, tmp_path):
     catalog = ViewCatalog(VIEWS)
     with running_daemon(_serve_config(), catalog=catalog) as handle:
         with handle.client(timeout=60.0) as client:
-            for i in range(5):  # warm the context pools
+            for i in range(5):  # warm each worker's context
                 assert client.plan(QUERY, id=f"warm-{i}")["status"] == "ok"
             samples = []
             for i in range(WARM_SAMPLES):

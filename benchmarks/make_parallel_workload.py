@@ -3,8 +3,9 @@
 Writes a chain-shape view catalog (``views.dl``) and a 50-line NDJSON
 request file (``requests.ndjson``) that all plan against that one
 catalog, so a ``repro batch --workers 2`` smoke run exercises the
-process pool *and* the warm per-worker context pools (49 of the 50
-requests should be pool hits inside each worker).
+process pool *and* each worker's warm planner context and resident
+catalog (every request after a worker's first replans on memos that
+worker already holds).
 
 Usage::
 

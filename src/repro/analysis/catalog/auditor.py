@@ -24,12 +24,11 @@ the unit key because the pair rules attribute findings by age
 ("reported on the later view", "shadowed by the newest") — and relative
 order is exactly what a from-scratch rebuild preserves.
 
-Warm-context economics: pass a
-:class:`~repro.parallel.pool.PlannerContextPool` and consecutive audits
-acquire their :class:`~repro.planner.context.PlannerContext` through
-``acquire_catalog`` — an exact root match or a small-delta upgrade keeps
-the memoized containment work; otherwise the auditor keeps one private
-persistent context.
+Each auditor plans on one :class:`~repro.planner.context.PlannerContext`
+for its whole life: the one it was given, or its own.  The context's
+memos are keyed on view-definition structure, never on catalog
+identity, so its containment work stays sound and warm across every
+catalog version the auditor sees.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from ..sarif import result_fingerprint
 from .inputs import CatalogAuditInput
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...parallel.pool import PlannerContextPool
     from ...planner.context import PlannerContext
 
 __all__ = ["AuditReport", "CatalogAuditor", "audit_catalog"]
@@ -74,9 +72,6 @@ class AuditReport(AnalysisReport):
     views_analyzed: int = 0
     views_reused: int = 0
     suppressed: int = 0
-    #: How the planner context was obtained: ``"exact"``/``"delta"``/
-    #: ``"miss"`` (pool events) or ``"private"`` (auditor-owned).
-    context_event: str = "private"
 
     def render_text(self) -> str:
         base = super().render_text()
@@ -149,19 +144,21 @@ class CatalogAuditor:
     mutations — the serve daemon keeps one per registered catalog name —
     and each :meth:`audit` call re-analyzes only the units whose content
     keys changed.  A fresh auditor (the CLI one-shot path) simply
-    computes every unit once.
+    computes every unit once.  :meth:`audit` replaces its unit caches
+    rather than editing them, so auditing a ``copy.copy`` of an auditor
+    leaves the original's caches as they were.
     """
 
     def __init__(
         self,
         *,
         context: "PlannerContext | None" = None,
-        pool: "PlannerContextPool | None" = None,
         select: Sequence[str] | None = None,
         ignore: Sequence[str] | None = None,
     ) -> None:
-        self._pool = pool
-        self._context = context
+        from ...planner.context import PlannerContext
+
+        self._context = context if context is not None else PlannerContext()
         self._select = list(select) if select else None
         self._ignore = list(ignore) if ignore else None
         self._units: dict[_UnitKey, tuple[Diagnostic, ...]] = {}
@@ -169,17 +166,6 @@ class CatalogAuditor:
         #: Lifetime counters (per-call numbers live on the report).
         self.units_computed = 0
         self.units_reused = 0
-
-    def _acquire_context(
-        self, catalog: ViewCatalog
-    ) -> tuple["PlannerContext", str]:
-        from ...planner.context import PlannerContext
-
-        if self._pool is not None:
-            return self._pool.acquire_catalog(catalog, {"role": "audit"})
-        if self._context is None:
-            self._context = PlannerContext()
-        return self._context, "private"
 
     def audit(
         self,
@@ -196,7 +182,7 @@ class CatalogAuditor:
         suppress; matches are dropped from the report and tallied in
         ``suppressed``, so ``--fail-on`` gates new findings only.
         """
-        context, event = self._acquire_context(catalog)
+        context = self._context
         view_rules, catalog_rules = _audit_rules(self._select, self._ignore)
         rules_key = tuple(rule.code for rule in view_rules)
         schema_key = _schema_key(schema)
@@ -293,7 +279,6 @@ class CatalogAuditor:
             views_analyzed=analyzed,
             views_reused=reused,
             suppressed=suppressed,
-            context_event=event,
         )
 
 

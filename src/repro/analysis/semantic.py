@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Head predicate used to compare view *definitions* name-independently,
-#: mirroring ``PlannerContext.view_definition_key``.
+#: mirroring the ``DefinitionKey`` a view's compiled form carries.
 _VIEWDEF_MARKER = "__viewdef__"
 
 

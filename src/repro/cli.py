@@ -146,12 +146,15 @@ def _build_budget(args: argparse.Namespace) -> ResourceBudget | None:
         and args.max_rewritings is None
     ):
         return None
-    return ResourceBudget(
-        deadline_seconds=args.timeout,
-        max_hom_searches=args.max_hom_searches,
-        max_rewritings=args.max_rewritings,
-        strict=args.strict_budget,
-    )
+    try:
+        return ResourceBudget(
+            deadline_seconds=args.timeout,
+            max_hom_searches=args.max_hom_searches,
+            max_rewritings=args.max_rewritings,
+            strict=args.strict_budget,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _add_budget_flags(command: argparse.ArgumentParser) -> None:
@@ -585,18 +588,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     chain = tuple(
         name.strip() for name in args.chain.split(",") if name.strip()
     )
-    policy = ServicePolicy(
-        chain=chain,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_delay=args.retry_base_delay,
-        ),
-        breaker=BreakerPolicy(
-            window=args.breaker_window,
-            failure_threshold=args.breaker_threshold,
-            cooldown_seconds=args.breaker_cooldown,
-        ),
-    )
+    try:
+        policy = ServicePolicy(
+            chain=chain,
+            retry=RetryPolicy(
+                max_attempts=args.max_attempts,
+                base_delay=args.retry_base_delay,
+            ),
+            breaker=BreakerPolicy(
+                window=args.breaker_window,
+                failure_threshold=args.breaker_threshold,
+                cooldown_seconds=args.breaker_cooldown,
+            ),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if args.requests == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -660,13 +666,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
             for rewriting in outcome.rewritings:
                 print("   ", rewriting)
-    if engine is not None and args.profile:
-        # One JSON line so scripts can read the warm-context economics:
-        # exact root matches, small-delta upgrades, and cold starts.
-        print(
-            json.dumps({"context_pool": engine.pool.stats()["pool"]}),
-            file=sys.stderr,
-        )
     print(
         f"batch: {counts['ok']} ok, {counts['degraded']} degraded, "
         f"{counts['failed']} failed",
@@ -696,11 +695,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     chain = tuple(
         name.strip() for name in args.chain.split(",") if name.strip()
     )
-    policy = ServicePolicy(
-        chain=chain,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        breaker=BreakerPolicy(cooldown_seconds=args.breaker_cooldown),
-    )
     tenant_rates: dict[str, float] = {}
     for spec in args.tenant_rate_override or ():
         name, sep, rate = spec.partition("=")
@@ -714,6 +708,22 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             raise ParseError(
                 f"--tenant-rate-override {spec!r}: rate must be a number"
             ) from None
+    try:
+        policy = ServicePolicy(
+            chain=chain,
+            retry=RetryPolicy(max_attempts=args.max_attempts),
+            breaker=BreakerPolicy(cooldown_seconds=args.breaker_cooldown),
+        )
+        worker = WorkerConfig(
+            policy=policy,
+            cache_dir=args.cache,
+            cache_ttl=args.cache_ttl,
+            strict_cache=args.strict_cache,
+            profile=args.profile,
+            pool_size=args.pool_size,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -737,14 +747,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             task_grace_seconds=args.task_grace,
             default_task_timeout=args.task_timeout,
         ),
-        worker=WorkerConfig(
-            policy=policy,
-            cache_dir=args.cache,
-            cache_ttl=args.cache_ttl,
-            strict_cache=args.strict_cache,
-            profile=args.profile,
-            pool_size=args.pool_size,
-        ),
+        worker=worker,
         default_budget=_build_budget(args),
         drain_deadline=args.drain_deadline,
         audit_fail_on=(
@@ -1216,7 +1219,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_run.add_argument(
         "--pool-size", type=int, default=4, metavar="N",
-        help="warm planner-context pool entries per worker",
+        help="catalogs each worker keeps unpickled between requests "
+             "(an LRU; must be >= 1)",
     )
     serve_run.add_argument(
         "--max-queue-depth", type=int, default=64, metavar="N",

@@ -197,27 +197,6 @@ class ContainmentCache:
             lambda: containment_mapping(outer, inner) is not None,
         )
 
-    # -- eviction --------------------------------------------------------------
-    def evict_query_keys(self, keys: set) -> int:
-        """Drop every cached entry involving one of the interned *keys*.
-
-        Pure memory hygiene for incremental catalog deltas: because keys
-        are structural, stale hits are impossible and eviction is never
-        required for correctness — it only releases memoized work for
-        view definitions that left the catalog.  Returns the number of
-        entries dropped.
-        """
-        dropped = 0
-        for cache in (self._minimize, self._canonical):
-            for key in [k for k in cache if k in keys]:
-                del cache[key]
-                dropped += 1
-        for cache in (self._containment, self._mapping):
-            for pair in [p for p in cache if p[0] in keys or p[1] in keys]:
-                del cache[pair]
-                dropped += 1
-        return dropped
-
     # -- aggregate counters ----------------------------------------------------
     @property
     def cache_hits(self) -> int:

@@ -91,20 +91,6 @@ class InternTable:
         self._keepalive.append(query)
         return key
 
-    def find_query_key(self, query: ConjunctiveQuery) -> int | None:
-        """*query*'s key if the table already holds its structure, else None.
-
-        Unlike :meth:`query_key` this interns nothing, so looking up a
-        query the table never saw pins no object.
-        """
-        key = self._query_by_identity.get(id(query))
-        if key is not None:
-            return key
-        keys = [self._atom_keys.get(atom) for atom in (query.head, *query.body)]
-        if None in keys:
-            return None
-        return self._query_structs.get((keys[0], tuple(keys[1:])))
-
     # -- ad-hoc composite keys ----------------------------------------------
     def composite_key(self, *parts: Hashable) -> tuple[Hashable, ...]:
         """Combine already-interned keys (or other hashables) into one key."""

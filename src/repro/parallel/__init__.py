@@ -8,12 +8,10 @@ Public surface:
   one for its whole residency; the two drivers below start one per run.
 * :class:`ParallelPlanningEngine` — ``repro batch --workers N``: fans
   service-layer requests across the pool, outcomes in input order, with
-  per-worker warm planner-context pools, breaker-delta merging, and
+  one warm planner context per worker, breaker-delta merging, and
   per-task crash isolation.
 * :func:`plan_map` — the experiment harness's lighter fan-out of bare
   ``plan()`` calls.
-* :class:`PlannerContextPool` / :func:`catalog_fingerprint` — the warm
-  context pool and its structured, delta-aware catalog fingerprint.
 """
 
 from .engine import ParallelPlanningEngine, plan_map
@@ -21,11 +19,6 @@ from .supervisor import (
     BreakerScoreboard,
     SupervisedWorkerPool,
     SupervisorPolicy,
-)
-from .pool import (
-    CatalogFingerprint,
-    PlannerContextPool,
-    catalog_fingerprint,
 )
 from .worker import (
     PlanTask,
@@ -40,18 +33,15 @@ from .worker import (
 
 __all__ = [
     "BreakerScoreboard",
-    "CatalogFingerprint",
     "ParallelPlanningEngine",
     "PlanTask",
     "PlanTaskResult",
-    "PlannerContextPool",
     "SupervisedWorkerPool",
     "SupervisorPolicy",
     "WorkerConfig",
     "WorkerResult",
     "WorkerState",
     "WorkerTask",
-    "catalog_fingerprint",
     "crash_outcome",
     "plan_map",
     "run_plan_task",

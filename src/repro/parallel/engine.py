@@ -5,8 +5,8 @@
 :class:`~repro.parallel.supervisor.SupervisedWorkerPool`, submit their
 tasks to it, and yield results **in input order** — byte-identical text
 output to the serial path, whatever the completion order.  Crash
-isolation, timeouts, and breaker and context-pool accounting are the
-pool's: a worker that dies mid-task fails only that task, with
+isolation, timeouts, and breaker accounting are the pool's: a worker
+that dies mid-task fails only that task, with
 :class:`~repro.errors.WorkerCrashError`, whether or not the request
 carries a deadline.
 """
@@ -18,9 +18,9 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ..planner.context import PlannerContext
 from ..service.executor import ExecutionOutcome, PlanRequest
 from ..testing.faults import Fault
-from .pool import PlannerContextPool
 from .supervisor import SupervisedWorkerPool, SupervisorPolicy
 from .worker import (
     PlanTask,
@@ -59,7 +59,7 @@ class ParallelPlanningEngine:
 
     One engine runs one batch: :meth:`run` starts the pool and shuts it
     down when the batch ends.  The pool's breaker scoreboard and
-    context-pool counters stay readable afterwards.
+    counters stay readable afterwards.
     """
 
     def __init__(
@@ -104,26 +104,22 @@ def plan_map(
     tasks: Sequence[PlanTask],
     *,
     workers: int | None = None,
-    pool_size: int = 4,
 ) -> list[PlanTaskResult]:
     """Run bare plan tasks, results in input order.
 
     The experiment harness's fan-out: no service layer, no retries.
     ``workers`` of ``None``/``0`` means ``os.cpu_count()``; 1 runs
-    in-process on one warm context pool, and exceptions propagate.
+    in-process on one warm context, and exceptions propagate.
     Across workers, a :class:`~repro.errors.ReproError` is re-raised
     here; any other exception, and a worker that dies mid-task, raise
     :class:`~repro.errors.WorkerCrashError`.
     """
     count = workers if workers and workers > 0 else (os.cpu_count() or 1)
     if count <= 1:
-        context_pool = PlannerContextPool(pool_size)
-        return [run_plan_task(task, context_pool) for task in tasks]
+        shared = PlannerContext()
+        return [run_plan_task(task, shared) for task in tasks]
     results: list[PlanTaskResult] = []
-    with SupervisedWorkerPool(
-        WorkerConfig(pool_size=pool_size),
-        policy=SupervisorPolicy(workers=count),
-    ) as pool:
+    with SupervisedWorkerPool(policy=SupervisorPolicy(workers=count)) as pool:
         for result in _in_order(
             pool, (WorkerTask(index, task) for index, task in enumerate(tasks))
         ):

@@ -49,10 +49,13 @@ once per version, not once per task: the task pickler swaps each
 :class:`~repro.views.view.ViewCatalog` for that catalog's pickled bytes,
 which the pool makes at the first submit after a version change and
 then reuses, and each worker unpickles a given byte string once and
-keeps the catalog resident (with its Section 5.2 class memo) in an LRU
-of ``WorkerConfig.pool_size`` entries.  The LRU is keyed by a sha256 of
-the bytes, never by the catalog's content root: the root ignores
-registration order, which picks each class representative.  Every task
+keeps the catalog resident (with its Section 5.2 class memo and
+compiled view forms) in an LRU of ``WorkerConfig.pool_size`` entries.
+The LRU is keyed by a sha256 of the bytes, never by the catalog's
+content root: the root ignores registration order, which picks each
+class representative.  Every task, whatever its catalog, plans on the
+worker's one warm :class:`~repro.planner.context.PlannerContext`,
+whose memos are keyed on structure alone.  Every task
 still carries its catalog's full bytes, so a task is self-contained: a
 respawned, recycled or killed worker needs no state from the parent.
 """
@@ -95,7 +98,7 @@ _RETIRE = b""
 class SupervisorPolicy:
     """How the supervised pool sizes, watches, and recycles workers."""
 
-    #: Worker processes (long-lived; each holds a warm context pool).
+    #: Worker processes (long-lived; each holds a warm planner context).
     workers: int = 2
     #: Seconds between heartbeat stamps (worker) and sweeps (parent).
     heartbeat_interval: float = 0.25
@@ -365,9 +368,6 @@ class SupervisedWorkerPool:
         self._ctx = multiprocessing.get_context()
         self.scoreboard = BreakerScoreboard()
         self._catalog_bytes = _CatalogBytes()
-        self.pool_hits = 0
-        self.pool_delta_hits = 0
-        self.pool_misses = 0
         #: Unplanned worker replacements (crash, hang, lost heartbeat).
         self.restarts = 0
         #: Planned worker replacements (served-count / RSS recycling).
@@ -613,13 +613,6 @@ class SupervisedWorkerPool:
         """Merge one result's deltas into parent-side accounting."""
         with self._stats_lock:
             self.scoreboard.merge(result.breaker_deltas)
-            if result.fingerprint:
-                if result.pool_event == "delta":
-                    self.pool_delta_hits += 1
-                elif result.pool_event == "exact":
-                    self.pool_hits += 1
-                else:
-                    self.pool_misses += 1
             self.completed += 1
 
     def _maybe_recycle(self, slot: _WorkerSlot) -> None:
@@ -709,11 +702,6 @@ class SupervisedWorkerPool:
                 "aborted": self.aborted,
                 "restarts": self.restarts,
                 "recycles": self.recycles,
-                "pool": {
-                    "hits": self.pool_hits,
-                    "delta_hits": self.pool_delta_hits,
-                    "misses": self.pool_misses,
-                },
                 "breakers": self.scoreboard.summary(),
             }
 

@@ -2,9 +2,16 @@
 
 Each pool worker holds one :class:`WorkerState`: a resilient executor
 (whose circuit breakers span every request the worker serves, matching
-the serial executor's semantics) plus a warm
-:class:`~repro.parallel.pool.PlannerContextPool` so repeated requests
-against the same catalog reuse memoized containment work.
+the serial executor's semantics) plus one warm
+:class:`~repro.planner.context.PlannerContext` that every request the
+worker serves plans on.  Every memo in a context is keyed on the
+structure of queries and view definitions, never on catalog identity,
+so one context is sound across every catalog and every catalog change
+the worker sees; warm state that is specific to one catalog (its
+Section 5.2 class memo and compiled view forms) lives on the worker's
+resident copy of that catalog.  The context grows for the worker's
+life; ``SupervisorPolicy.recycle_after_requests`` and
+``max_rss_bytes`` bound it by replacing the worker.
 
 Everything crossing the process boundary is a small picklable
 dataclass:
@@ -20,7 +27,7 @@ dataclass:
   (see :mod:`repro.parallel.supervisor`).
 * :class:`WorkerResult` out — the outcome (or, for a plan task, its
   :class:`PlanTaskResult`), breaker-counter deltas for the parent's
-  scoreboard, the context-pool event, and the planner-stats delta.
+  scoreboard, and the planner-stats delta.
   Input errors (:class:`~repro.errors.ReproError`) ride back as
   ``error`` so the parent re-raises them with the same taxonomy
   exit-code semantics as the serial path; any other worker-side
@@ -47,7 +54,6 @@ from ..service.executor import (
 from ..service.policy import ServicePolicy
 from ..testing.faults import Fault, fire, inject
 from ..views.view import ViewCatalog
-from .pool import PlannerContextPool
 
 __all__ = [
     "PlanTask",
@@ -70,7 +76,14 @@ class WorkerConfig:
     cache_ttl: float | None = None
     strict_cache: bool = False
     profile: bool = False
+    #: Catalogs each worker keeps unpickled (an LRU keyed by their bytes).
     pool_size: int = 4
+
+    def __post_init__(self) -> None:
+        if self.pool_size < 1:
+            raise ValueError(
+                f"pool_size must be >= 1 (got {self.pool_size})"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,12 +108,7 @@ class WorkerResult:
     breaker_deltas: Mapping[str, tuple[int, int]] = field(
         default_factory=dict
     )
-    fingerprint: str = ""
-    #: ``"exact"`` (same catalog root), ``"delta"`` (warm context
-    #: upgraded across a small catalog delta), or ``"miss"``; empty for
-    #: error results.
-    pool_event: str = ""
-    #: Planner-stats delta of this task on its (possibly warm) context.
+    #: Planner-stats delta of this task on the worker's warm context.
     stats: PlannerStats | None = None
     #: What a :class:`PlanTask` returns; ``None`` for plan requests.
     plan: PlanTaskResult | None = None
@@ -139,11 +147,11 @@ def crash_outcome(
 
 
 class WorkerState:
-    """One worker's executor plus its warm planner-context pool."""
+    """One worker's executor plus the warm planner context it plans on."""
 
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
-        self.pool = PlannerContextPool(config.pool_size)
+        self.context = PlannerContext()
         cache: PlanCache | None = None
         if config.cache_dir is not None:
             cache = PlanCache(
@@ -151,19 +159,12 @@ class WorkerState:
                 ttl_seconds=config.cache_ttl,
                 strict=config.strict_cache,
             )
-        self._active_context: PlannerContext | None = None
         self.executor = ResilientExecutor(
             config.policy,
             cache=cache,
             profile=config.profile,
-            context_factory=self._current_context,
+            context_factory=lambda: self.context,
         )
-
-    def _current_context(self) -> PlannerContext:
-        """The pooled context for the in-flight task (fresh otherwise)."""
-        if self._active_context is not None:
-            return self._active_context
-        return PlannerContext()
 
     def run(self, task: WorkerTask) -> WorkerResult:
         """Serve one task, activating its chaos faults if any."""
@@ -178,14 +179,10 @@ class WorkerState:
             fire("worker_dispatch")
             if isinstance(request, PlanTask):
                 return WorkerResult(
-                    index=task.index, plan=run_plan_task(request, self.pool)
+                    index=task.index,
+                    plan=run_plan_task(request, self.context),
                 )
-            context, pool_event = self.pool.acquire_catalog(
-                request.views, {"chain": list(self.executor.chain)}
-            )
-            fingerprint = request.views.content_root()
-            self._active_context = context
-            before = context.snapshot()
+            before = self.context.snapshot()
             totals_before = self.executor.breaker_totals()
             outcome = self.executor.execute(request)
             deltas = {
@@ -201,9 +198,7 @@ class WorkerState:
                 index=task.index,
                 outcome=outcome,
                 breaker_deltas=deltas,
-                fingerprint=fingerprint,
-                pool_event=pool_event,
-                stats=context.snapshot().since(before),
+                stats=self.context.snapshot().since(before),
             )
         except ReproError as exc:
             # The request itself is bad — identical on every backend and
@@ -223,8 +218,6 @@ class WorkerState:
                     ),
                 ),
             )
-        finally:
-            self._active_context = None
 
 
 # -- bare plan tasks (experiment sweeps) ------------------------------------
@@ -239,8 +232,8 @@ class PlanTask:
     backend: str = "corecover"
     options: Mapping = field(default_factory=dict)
     #: ``None`` = a private context per call (the harness's legacy
-    #: behaviour); ``True``/``False`` = a pooled shared context with
-    #: memoization on/off.
+    #: behaviour); ``True`` = the worker's shared warm context;
+    #: ``False`` = a fresh context with memoization off.
     caching: bool | None = None
 
     @property
@@ -264,18 +257,15 @@ class PlanTaskResult:
         return bool(self.rewritings)
 
 
-def run_plan_task(task: PlanTask, pool: PlannerContextPool) -> PlanTaskResult:
-    """Execute one plan task, on a warm context from *pool* if it caches."""
+def run_plan_task(task: PlanTask, shared: PlannerContext) -> PlanTaskResult:
+    """Execute one plan task, on *shared* if the task caches."""
     from ..planner.registry import plan
 
     context: PlannerContext | None = None
-    if task.caching is not None:
-        caching = bool(task.caching)
-        context, _ = pool.acquire_catalog(
-            task.views,
-            {"backend": task.backend, "caching": caching},
-            factory=lambda: PlannerContext(caching=caching),
-        )
+    if task.caching:
+        context = shared
+    elif task.caching is not None:
+        context = PlannerContext(caching=False)
     started = time.perf_counter()
     result = plan(
         task.query,

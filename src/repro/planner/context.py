@@ -30,14 +30,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..containment.memo import CacheCounter, ContainmentCache
 from ..datalog.interning import InternTable
 from ..datalog.query import ConjunctiveQuery
 from ..datalog.substitution import Substitution
 from ..datalog.terms import Term
-from ..engine.evaluate import DefinitionKey, SlotForm
+from ..engine.evaluate import SlotForm
 from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.tuple_core import QueryFrame, TupleCore
     from ..core.view_tuples import ViewTuple
     from ..datalog.hypergraph import JoinTree
-    from ..views.view import View
 
 __all__ = ["PlannerContext", "PlannerStats"]
 
@@ -320,50 +319,6 @@ class PlannerContext:
                 yield
         finally:
             self.acyclic_route = previous
-
-    # -- view-definition keys ----------------------------------------------------
-    def view_definition_key(self, view: "View") -> DefinitionKey:
-        """A name-independent structural key for a view's definition.
-
-        Views are compared by head arguments plus body, so equivalent
-        catalog entries with different names (V1 and V5 of the
-        car-loc-part example) share cached tuple-cores and view rows.
-        It is the key a view's compiled form carries; computing it keeps
-        no reference to *view*.
-        """
-        return DefinitionKey(view.definition)
-
-    def retire_views(self, views: "Iterable[View]") -> int:
-        """Evict memoized work for view definitions leaving the catalog.
-
-        Called on a catalog delta for the *removed* views.  Every planner
-        cache is keyed on structural content, so entries can never go
-        stale — retiring is memory hygiene only, releasing tuple-cores,
-        view rows, and containment results that the shrunk catalog can no
-        longer ask for.  A definition still present under another view
-        name is simply recomputed on its next use.  Returns the number of
-        entries dropped.
-        """
-        views = list(views)
-        def_keys = {self.view_definition_key(view) for view in views}
-        if not def_keys:
-            return 0
-        dropped = 0
-        for cache in (self._tuple_cores, self._view_rows):
-            for key in [k for k in cache if k[1] in def_keys]:
-                del cache[key]
-                dropped += 1
-        # A definition the interner never saw has no containment or join
-        # tree entry, so the lookup must not intern (and pin) it.
-        query_keys = {
-            self.interner.find_query_key(view.definition) for view in views
-        }
-        query_keys.discard(None)
-        dropped += self.containment.evict_query_keys(query_keys)
-        for key in [k for k in self._join_trees if k in query_keys]:
-            del self._join_trees[key]
-            dropped += 1
-        return dropped
 
     # -- tuple-core cache -------------------------------------------------------
     def tuple_core(

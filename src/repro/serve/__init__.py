@@ -4,7 +4,8 @@ This package promotes the one-shot ``repro batch`` path into a
 long-lived multi-tenant service: an asyncio front door speaking
 newline-delimited JSON over a TCP or Unix socket, streaming plan
 requests into a :class:`~repro.parallel.SupervisedWorkerPool` whose
-warm planner-context pools amortize catalog work across requests.
+workers each plan on one warm planner context and keep the catalogs
+they were sent resident, amortizing planning work across requests.
 
 Robustness is the organizing principle (see the "Degradation ladder"
 section of ``docs/robustness.md``):
@@ -16,8 +17,9 @@ section of ``docs/robustness.md``):
   budget before a worker ever sees it;
 * heartbeat-supervised workers restarted on crash/hang with
   breaker-scoreboard merge, recycled on request count or RSS;
-* named catalog registration (``catalog`` messages) reusing
-  :class:`~repro.views.view.CatalogDelta` fingerprint upgrades;
+* named catalog registration and staged updates (``catalog``
+  messages), each change acknowledged with its
+  :class:`~repro.views.view.CatalogDelta` records;
 * graceful drain on SIGTERM (:class:`~repro.errors.ShuttingDownError`,
   exit code 79): stop admitting, settle in-flight work within a drain
   deadline, flush the plan cache, checkpoint the catalog state, exit 0;

@@ -3,9 +3,9 @@
 ``repro batch`` ships the whole view catalog with the process; a
 resident daemon instead lets tenants **register** a named catalog once
 and then reference it per request (``{"catalog": "tenant-a", ...}``) —
-requests stop re-shipping view definitions, and the per-worker warm
-:class:`~repro.parallel.pool.PlannerContextPool` keys on the catalog's
-content fingerprint, so repeated requests hit warm contexts.
+requests stop re-shipping view definitions, and each worker keeps the
+catalog resident and plans every request on its one warm planner
+context, so repeated requests reuse memoized work.
 
 An update is **staged**: its removes, replaces and adds run through
 :meth:`ViewCatalog.remove_view` / ``replace_view`` / ``add_view`` on a
@@ -14,10 +14,9 @@ An update is **staged**: its removes, replaces and adds run through
 version.  The copy is audited and journaled, then published whole, so
 a published catalog is never changed and versions stay monotone per
 name.  Journal replay stages update records through the same function.
-Because worker-side context pools fingerprint catalogs structurally
-(per-view hashes), a small update delta-upgrades warm contexts instead
-of cold-starting them — the ``delta_hits`` counter in ``stats`` is this
-machinery paying off.
+Planner memos are keyed on query and view-definition structure, so a
+worker's warm context stays warm across any update: only the updated
+catalog itself crosses to the worker again.
 
 Durability
 ==========
@@ -55,7 +54,11 @@ every *recovered* catalog, quarantining (not serving) content that no
 longer passes the gate.  One persistent
 :class:`~repro.analysis.catalog.CatalogAuditor` per catalog name keeps
 the audit incremental: an update re-analyzes only the changed views and
-their predicate-index neighbors.
+their predicate-index neighbors.  Audits are staged like catalogs: each
+runs on a ``copy.copy`` of the name's auditor, and the copy and its
+report are published with the catalog, after the journal append, so a
+refused or failed change leaves the published auditor and report as
+they were.
 
 The registry is mutated only from the daemon's event-loop thread;
 the lock exists for cross-thread readers (``stats`` snapshots from
@@ -216,10 +219,11 @@ class CatalogRegistry:
             # that no longer passes the preflight gate must not serve.
             for name in sorted(self._catalogs):
                 try:
-                    self._audit(name, self._catalogs[name])
+                    self._auditors[name], self._reports[name] = self._audit(
+                        name, self._catalogs[name]
+                    )
                 except AnalysisError as exc:
                     self._catalogs.pop(name, None)
-                    self._auditors.pop(name, None)
                     self._quarantine(
                         name,
                         _Quarantine(
@@ -410,20 +414,22 @@ class CatalogRegistry:
             self._journal.close()
 
     # -- audit --------------------------------------------------------------
-    def _audit(self, name: str, catalog: ViewCatalog) -> "AuditReport":
-        """Audit *catalog* with the persistent per-name auditor.
+    def _audit(
+        self, name: str, catalog: ViewCatalog
+    ) -> tuple["CatalogAuditor", "AuditReport"]:
+        """Audit *catalog* on a copy of *name*'s auditor; publish nothing.
 
         Raises :class:`~repro.errors.AnalysisError` when findings reach
         the configured severity; the caller must not install/keep the
-        offending content.  On success the report is retained for
-        ``stats``.
+        offending content.  On success returns the audited copy and its
+        report, for the caller to publish with the catalog once the
+        journal holds the change.
         """
         from ..analysis.catalog import CatalogAuditor
 
         assert self._audit_threshold is not None
-        auditor = self._auditors.get(name)
-        if auditor is None:
-            auditor = self._auditors[name] = CatalogAuditor()
+        published = self._auditors.get(name)
+        auditor = copy.copy(published) if published else CatalogAuditor()
         report = auditor.audit(catalog)
         self.audits += 1
         offending = report.at_least(self._audit_threshold)
@@ -435,8 +441,7 @@ class CatalogRegistry:
                 f"{self._audit_threshold.name.lower()} severity",
                 diagnostics=tuple(offending),
             )
-        self._reports[name] = report
-        return report
+        return auditor, report
 
     # -- lookup -------------------------------------------------------------
     def __contains__(self, name: object) -> bool:
@@ -483,9 +488,10 @@ class CatalogRegistry:
 
         With auditing enabled the catalog is audited *before* it is
         installed: a rejected registration leaves any previously
-        registered content untouched.  A durable registry journals the
-        accepted registration before installing it; re-registering a
-        quarantined name clears its quarantine.
+        registered content, its auditor and its report untouched.  A
+        durable registry journals the accepted registration before
+        installing it; re-registering a quarantined name clears its
+        quarantine.
         """
         if not name:
             raise ParseError('catalog "name" must be a non-empty string')
@@ -499,9 +505,9 @@ class CatalogRegistry:
             "version": catalog.version,
             "content_root": content_root,
         }
-        if self.auditing:
-            report = self._audit(name, catalog)
-            ack["audit"] = _audit_ack(report)
+        audited = self._audit(name, catalog) if self.auditing else None
+        if audited is not None:
+            ack["audit"] = _audit_ack(audited[1])
         # The journal carries the texts as received — they parse to the
         # same views (that's what the journaled root verifies on replay),
         # and skipping re-serialization keeps the append overhead low.
@@ -516,6 +522,8 @@ class CatalogRegistry:
         with self._lock:
             ack["replaced"] = name in self._catalogs
             self._catalogs[name] = catalog
+            if audited is not None:
+                self._auditors[name], self._reports[name] = audited
             self._quarantined.pop(name, None)
             self.registrations += 1
         self._maybe_checkpoint()
@@ -539,8 +547,8 @@ class CatalogRegistry:
         :class:`~repro.views.view.CatalogDelta` is echoed in the
         acknowledgement so the client can audit exactly what changed
         and at which version.  Any rejected or failed step leaves the
-        published catalog untouched: the same object, order, version
-        and root.
+        published catalog untouched (the same object, order, version
+        and root), and its auditor and audit report with it.
         """
         catalog = self.get(name)
         op = {
@@ -560,12 +568,15 @@ class CatalogRegistry:
             "version": staged.version,
             "content_root": op["root"],
         }
-        if self.auditing:
-            ack["audit"] = _audit_ack(self._audit(name, staged))
+        audited = self._audit(name, staged) if self.auditing else None
+        if audited is not None:
+            ack["audit"] = _audit_ack(audited[1])
         # Never acknowledge (or serve) state the journal does not hold.
         self._journal_op(op)
         with self._lock:
             self._catalogs[name] = staged
+            if audited is not None:
+                self._auditors[name], self._reports[name] = audited
             self.updates += 1
         self._maybe_checkpoint()
         return ack

@@ -16,15 +16,16 @@ monotone **version** number:
   provably contributes no view tuple over the query's canonical
   database (Section 3.3), so the pruning is exact, not heuristic;
 * **per-view content hashes** and a Merkle-style **catalog root** over
-  them, which is what the warm-context pool and the plan cache key on
-  (two catalogs agree on the root exactly when they agree view by
-  view); the root is computed on first read after a change; and
+  them, which is what the plan cache, the catalog auditor and the
+  serve journal's replay check key on (two catalogs agree on the root
+  exactly when they agree view by view); the root is computed on first
+  read after a change; and
 * a **delta API** — :meth:`ViewCatalog.add_view` /
   :meth:`ViewCatalog.remove_view` / :meth:`ViewCatalog.replace_view`
   return a :class:`CatalogDelta` recording what changed between two
-  consecutive versions, so callers (warm pools, plan caches, planner
-  contexts) can invalidate per view instead of discarding everything;
-  and
+  consecutive versions, so the catalog drops only the changed names
+  from its class memo and compiled forms, and the serve daemon echoes
+  exactly what changed in its acknowledgements; and
 * a lazily filled :class:`ViewClassMemo` of the Section 5.2 view
   equivalence classes (:attr:`ViewCatalog.class_memo`), which the
   planner's grouping stage fills and reads, and every delta prunes; and
@@ -140,10 +141,9 @@ def view_content_hash(view: View) -> str:
 class CatalogDelta:
     """What one catalog mutation changed, between two consistent versions.
 
-    ``added``/``removed`` carry the actual :class:`View` objects, so
-    consumers (e.g. :meth:`repro.planner.context.PlannerContext.
-    retire_views`) can compute structural keys for the views that left
-    the catalog without keeping their own shadow copies.
+    ``added``/``removed`` carry the actual :class:`View` objects, so a
+    consumer sees the definitions that entered and left the catalog
+    without keeping its own shadow copy.
     """
 
     added: tuple[View, ...]

@@ -6,7 +6,6 @@ from repro.analysis import CatalogAuditor, audit_catalog
 from repro.analysis.catalog import load_baseline, write_baseline
 from repro.analysis.registry import AnalysisRule, register_rule, unregister_rule
 from repro.analysis.diagnostics import Severity
-from repro.parallel.pool import PlannerContextPool
 from repro.views import ViewCatalog
 
 
@@ -92,24 +91,6 @@ class TestIncrementalReuse:
         catalog.remove_view("v4")
         auditor.audit(catalog)
         assert len(auditor._units) == 3
-
-
-class TestContextAcquisition:
-    def test_private_context_event(self):
-        report = CatalogAuditor().audit(build())
-        assert report.context_event == "private"
-
-    def test_pool_events_progress_miss_to_exact(self):
-        pool = PlannerContextPool(max_entries=2)
-        auditor = CatalogAuditor(pool=pool)
-        catalog = build()
-        first = auditor.audit(catalog)
-        assert first.context_event == "miss"
-        second = auditor.audit(catalog)
-        assert second.context_event == "exact"
-        catalog.replace_view("v3(X,Y) :- c(Y,X)")
-        third = auditor.audit(catalog)
-        assert third.context_event == "delta"
 
 
 class TestBaselines:

@@ -14,8 +14,12 @@ local run would have.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import ExitStack
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro import ViewCatalog
 from repro.cli import main
 from repro.testing.faults import ExitFault, RaiseFault, StallFault, inject
 
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 QUERY = "q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)"
 VIEWS_TEXT = """
 v1(A, B) :- a(A, B), a(B, B)
@@ -337,3 +342,53 @@ def test_every_taxonomy_exit_code_is_audited():
     """The audit table covers the documented code range with no gaps."""
     audited = sorted(code for _, code, _ in (p.values for p in CASES))
     assert audited == list(range(65, 81))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "--max-attempts", "0"],
+        ["batch", "--breaker-window", "0"],
+        ["batch", "--breaker-threshold", "0"],
+        ["batch", "--timeout", "-1"],
+        ["serve", "run", "--port", "0", "--max-attempts", "0"],
+        ["serve", "run", "--port", "0", "--timeout", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_out_of_range_settings_are_parse_errors(
+    argv, tmp_path, views_file, capsys
+):
+    """A setting the service refuses ends in one structured line, exit
+    65, before any request is read or any worker starts."""
+    if argv[0] == "batch":
+        requests = _request_file(tmp_path, {"query": QUERY})
+        argv = ["batch", requests, "--views", views_file, *argv[1:]]
+    code, captured = _run(argv, None, capsys)
+    assert code == 65
+    assert len([line for line in captured.err.splitlines() if line]) == 1
+    _assert_structured_stderr(captured, 65, "ParseError")
+    assert "ready" not in captured.out
+
+
+def test_serve_run_refuses_an_empty_catalog_lru_before_ready():
+    """``--pool-size 0`` would leave workers no room for a catalog; the
+    daemon refuses it instead of printing its ready line.  The timeout
+    turns a daemon that starts anyway into a failure, not a hang."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "serve", "run",
+            "--host", "127.0.0.1", "--port", "0", "--workers", "1",
+            "--pool-size", "0",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert '"ready"' not in proc.stdout
+    payload = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert payload["error"] == "ParseError"
+    assert "pool_size" in payload["message"]

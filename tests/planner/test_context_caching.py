@@ -134,28 +134,6 @@ class TestSharedContextAcrossRuns:
         assert [ref() for ref in views if ref() is not None] == []
         assert context.snapshot().cache_hits > 0
 
-    def test_retiring_views_pins_nothing(self):
-        """Retiring views is memory hygiene: it evicts what the context
-        memoized for them and interns nothing, so views the context
-        never planned against leave its intern table as it was."""
-        workload = generate_workload(
-            WorkloadConfig(
-                shape="chain", num_relations=40, num_views=200, seed=3
-            )
-        )
-        catalog = ViewCatalog(workload.views)
-        context = PlannerContext()
-        for start in (0, 7, 14, 21, 28):
-            plan(chain_query(start, 8), catalog, context=context)
-        interner = context.interner
-        size, pinned = len(interner), len(interner._keepalive)
-        unseen = ViewCatalog(
-            f"u{i}(A, B) :- fresh{i}(A, C), r0(C, B)" for i in range(20)
-        )
-        assert context.retire_views(unseen) == 0
-        assert context.retire_views(list(catalog)[:50]) > 0
-        assert (len(interner), len(interner._keepalive)) == (size, pinned)
-
     def test_stage_times_accumulate(self, star500):
         context = PlannerContext()
         core_cover(star500.query, star500.views, context=context)

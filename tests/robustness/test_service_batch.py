@@ -149,38 +149,6 @@ class TestBatchCommand:
         ]
         assert "batch: 2 ok, 0 degraded, 0 failed" in captured.err
 
-    def test_profile_surfaces_context_pool_counters(
-        self, tmp_path, views_file, capsys
-    ):
-        """``--profile`` on the engine path emits one stderr JSON line
-        with the warm-pool economics: exact hits, delta-upgraded hits,
-        and cold misses."""
-        requests = write_requests(
-            tmp_path,
-            [
-                json.dumps({"id": "first", "query": QUERY}),
-                json.dumps({"id": "second", "query": QUERY}),
-            ],
-        )
-        code = main(
-            ["batch", requests, "--views", views_file,
-             "--workers", "2", "--profile"]
-        )
-        outcomes, captured = outcome_lines(capsys)
-        assert code == 0
-        pool_lines = [
-            json.loads(line)
-            for line in captured.err.splitlines()
-            if line.startswith("{")
-        ]
-        assert len(pool_lines) == 1
-        counters = pool_lines[0]["context_pool"]
-        assert set(counters) == {"hits", "delta_hits", "misses"}
-        assert (
-            counters["hits"] + counters["delta_hits"] + counters["misses"]
-            == len(outcomes)
-        )
-
     def test_text_format(self, tmp_path, views_file, capsys):
         requests = write_requests(
             tmp_path, [json.dumps({"id": "t1", "query": QUERY})]

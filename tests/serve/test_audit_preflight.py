@@ -148,13 +148,14 @@ def _refuse_by_audit(tmp_path, monkeypatch):
     return registry, {"remove": ["v1"], "add": [UNSAT]}, AnalysisError
 
 
-def _refuse_by_journal(tmp_path, monkeypatch):
-    def failing_append(self, op):
-        raise OSError("disk full")
+def _fail_journal_append(self, op):
+    raise OSError("disk full")
 
+
+def _refuse_by_journal(tmp_path, monkeypatch):
     registry = CatalogRegistry(state_dir=tmp_path, journal_fsync=False)
     registry.register("t", EQUIVALENT)
-    monkeypatch.setattr(CatalogJournal, "append", failing_append)
+    monkeypatch.setattr(CatalogJournal, "append", _fail_journal_append)
     return registry, {"remove": ["v1"]}, CatalogCorruptionError
 
 
@@ -189,6 +190,51 @@ class TestRefusedUpdateLeavesCatalog:
         assert [str(r) for r in result.rewritings] == [
             "q(X, Z) :- v1(X, Y), w(Y, Z)"
         ]
+        registry.close()
+
+
+# Six views on six relations: no view is another's index neighbor.
+SEPARATE = [f"a{i}(X, Y) :- r{i}(X, Y)" for i in range(6)]
+# C103 (ERROR), and an index neighbor of a1.
+UNSAT_ON_R1 = "bad(X) :- r1(X, Y), 2 > 3"
+
+
+class TestRefusedChangeLeavesAuditor:
+    """A refused or failed change leaves the published auditor and its
+    report as they were.  Each change below re-analyzes a1's unit with a
+    new neighbor on r1; had that audit been kept, the next update would
+    re-analyze a1 again, and ``stats`` would report the refused content."""
+
+    @pytest.mark.parametrize(
+        "change", ["update-audit", "update-journal", "register-audit"]
+    )
+    def test_next_update_reuses_the_published_units(
+        self, change, tmp_path, monkeypatch
+    ):
+        registry = CatalogRegistry(
+            audit_fail_on="error", state_dir=tmp_path, journal_fsync=False
+        )
+        registry.register("t", SEPARATE)
+        clean = {"error": 0, "warning": 0, "info": 0}
+        assert registry.stats()["t"]["diagnostics"] == clean
+        if change == "update-audit":
+            with pytest.raises(AnalysisError):
+                registry.update("t", add=[UNSAT_ON_R1])
+        elif change == "update-journal":
+            # A C104 twin of a1 passes the error threshold, so only the
+            # journal append refuses it.
+            with monkeypatch.context() as patch:
+                patch.setattr(CatalogJournal, "append", _fail_journal_append)
+                with pytest.raises(CatalogCorruptionError):
+                    registry.update("t", add=["twin(P, Q) :- r1(P, Q)"])
+        else:
+            with pytest.raises(AnalysisError):
+                registry.register("t", SEPARATE + [UNSAT_ON_R1])
+        assert registry.stats()["t"]["diagnostics"] == clean
+        ack = registry.update("t", add=["a9(X, Y) :- r9(X, Y)"])
+        assert ack["audit"]["views_analyzed"] == 1
+        assert ack["audit"]["views_reused"] == 6
+        assert registry.stats()["t"]["diagnostics"] == clean
         registry.close()
 
 
