@@ -358,9 +358,8 @@ def core_cover_impl(
                 for cover in covers
             )
         else:
-            # Minimum covers may be *retracted* mid-search (a smaller cover
-            # clears the result set), so they are only recorded once the
-            # enumeration has completed.
+            # Minimum covers are returned together, once the search has
+            # proved their size minimum, so they are recorded then.
             covers = minimum_covers(
                 universe,
                 cover_inputs,

@@ -7,14 +7,25 @@ cover (no member removable), which characterizes the minimal rewritings
 using view tuples (Theorem 5.1).
 
 Both enumerations branch on the first uncovered element in pivot order
-(default: numeric), which visits every relevant cover at least once;
-duplicates are removed through a result set.  Sets and the uncovered
-remainder are int bitmasks whose bit positions follow the pivot order,
-so the pivot is the remainder's lowest set bit.  Dominated-set pruning
-is deliberately **not** applied: a set strictly contained in another
-can still participate in a minimum cover (e.g. universe ``{1,2,3}``,
-sets ``A={1}``, ``B={1,2}``, ``D={2,3}`` — both ``{B,D}`` and
-``{A,D}`` are minimum).
+(default: numeric).  Sets and the uncovered remainder are int bitmasks
+whose bit positions follow the pivot order, so the pivot is the
+remainder's lowest set bit.  Every cover holds a set containing the
+pivot, so trying each such set reaches every cover.  **Exclusion
+branching** makes that reach unique: a set tried at a pivot is banned
+from the subtrees of its later siblings, so a cover is reached only
+through its first pivot-holding set, at every pivot, and no result is
+ever found twice.
+
+:func:`minimum_covers` runs two passes.  The first memoizes, for each
+uncovered mask the branching reaches, the fewest sets that cover it and
+the ``(set, remainder)`` children that reach that minimum.  The second
+walks only those optimal children, with exclusion branching, and so
+reaches each minimum cover once.
+
+Dominated-set pruning is deliberately **not** applied: a set strictly
+contained in another can still participate in a minimum cover (e.g.
+universe ``{1,2,3}``, sets ``A={1}``, ``B={1,2}``, ``D={2,3}`` — both
+``{B,D}`` and ``{A,D}`` are minimum).
 """
 
 from __future__ import annotations
@@ -35,18 +46,18 @@ def minimum_covers(
 
     Returns sorted index tuples into *sets*; empty list when no cover
     exists.  The empty universe is covered by the empty cover.
-    ``checkpoint`` is called on every branch node (cooperative
-    cancellation under a resource budget).
+    ``checkpoint`` is called on every memo expansion and every
+    enumeration node (cooperative cancellation under a resource budget).
 
     ``pivot_order`` ranks the universe elements the brancher pivots on
     (default: numeric order).  The acyclic fast path passes the query's
     join-tree traversal here so chosen sets grow along connected
     subtrees, which fails impossible branches earlier.  The *result* is
-    order-independent: branching on any uncovered element visits every
-    minimum cover (each must contain a set covering the pivot), the
-    best-size bound never prunes a minimum cover, and results are
-    returned sorted — so a pivot order changes node counts, never
-    answers.
+    order-independent: a minimum cover holds a set covering any pivot,
+    and without that set the rest is a minimum cover of the remainder,
+    so every minimum cover lies on a path of optimal children whatever
+    the pivots; results are returned sorted — so a pivot order changes
+    node counts, never answers.
     """
     if not universe:
         return [()]
@@ -55,31 +66,50 @@ def minimum_covers(
         return []
     masks, options = layout
 
-    best_size = len(universe) + 1  # a cover never needs more sets than elements
-    results: set[tuple[int, ...]] = set()
+    # Uncovered mask -> (fewest sets, the optimal (set, remainder) children).
+    memo: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
-    def branch(uncovered: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_size
+    def fewest(uncovered: int) -> int:
+        """The fewest sets covering *uncovered*."""
+        if not uncovered:
+            return 0
+        known = memo.get(uncovered)
+        if known is not None:
+            return known[0]
+        fire("enumeration")
+        if checkpoint is not None:
+            checkpoint()
+        best = len(universe) + 1  # more than any pivot branch takes
+        children: list[tuple[int, int]] = []
+        for index in options[(uncovered & -uncovered).bit_length() - 1]:
+            remainder = uncovered & ~masks[index]
+            size = fewest(remainder) + 1
+            if size < best:
+                best = size
+                children = [(index, remainder)]
+            elif size == best:
+                children.append((index, remainder))
+        memo[uncovered] = (best, children)
+        return best
+
+    covers: list[tuple[int, ...]] = []
+
+    def descend(uncovered: int, chosen: tuple[int, ...], banned: int) -> None:
         fire("enumeration")
         if checkpoint is not None:
             checkpoint()
         if not uncovered:
-            cover = tuple(sorted(chosen))
-            if len(cover) < best_size:
-                best_size = len(cover)
-                results.clear()
-            if len(cover) == best_size:
-                results.add(cover)
+            covers.append(tuple(sorted(chosen)))
             return
-        if len(chosen) + 1 > best_size:
-            return
-        for index in options[(uncovered & -uncovered).bit_length() - 1]:
-            if index in chosen:
-                continue
-            branch(uncovered & ~masks[index], chosen + (index,))
+        for index, remainder in memo[uncovered][1]:
+            if not banned >> index & 1:
+                descend(remainder, chosen + (index,), banned)
+            banned |= 1 << index
 
-    branch((1 << len(universe)) - 1, ())
-    return sorted(results)
+    full = (1 << len(universe)) - 1
+    fewest(full)
+    descend(full, (), 0)
+    return sorted(covers)
 
 
 def irredundant_covers(
@@ -98,10 +128,15 @@ def irredundant_covers(
     for pathological inputs (e.g. many identical views — Section 5.2
     motivates representatives precisely to avoid the ``2^n - 1`` blowup).
     ``checkpoint`` is called on every branch node; ``on_cover`` fires once
-    for each *new* irredundant cover as it is discovered, which is what
-    lets the anytime planner keep best-so-far results when the search is
+    for each irredundant cover as it is discovered, which is what lets
+    the anytime planner keep best-so-far results when the search is
     cancelled mid-enumeration (irredundant covers are additive — a found
     cover is never retracted later).
+
+    Exclusion branching only cuts subtrees whose covers hold a set tried
+    earlier at some pivot, and an irredundant cover is found there
+    first, so covers are discovered in the order of plain pivot
+    branching, each once.
 
     ``pivot_order`` works as in :func:`minimum_covers`; the uncapped
     enumeration is exhaustive, so it changes traversal, not results.
@@ -122,7 +157,7 @@ def irredundant_covers(
     masks, options = layout
     full = (1 << len(universe)) - 1
 
-    results: set[tuple[int, ...]] = set()
+    covers: list[tuple[int, ...]] = []
 
     def is_irredundant(chosen: Sequence[int]) -> bool:
         for candidate in chosen:
@@ -134,28 +169,26 @@ def irredundant_covers(
                 return False
         return True
 
-    def branch(uncovered: int, chosen: tuple[int, ...]) -> None:
-        if max_covers is not None and len(results) >= max_covers:
+    def branch(uncovered: int, chosen: tuple[int, ...], banned: int) -> None:
+        if max_covers is not None and len(covers) >= max_covers:
             return
         fire("enumeration")
         if checkpoint is not None:
             checkpoint()
         if not uncovered:
             cover = tuple(sorted(chosen))
-            if is_irredundant(cover) and cover not in results:
-                results.add(cover)
+            if is_irredundant(cover):
+                covers.append(cover)
                 if on_cover is not None:
                     on_cover(cover)
             return
-        if len(chosen) >= len(universe):
-            return  # an irredundant cover has at most |universe| sets
         for index in options[(uncovered & -uncovered).bit_length() - 1]:
-            if index in chosen:
-                continue
-            branch(uncovered & ~masks[index], chosen + (index,))
+            if not banned >> index & 1:
+                branch(uncovered & ~masks[index], chosen + (index,), banned)
+            banned |= 1 << index
 
-    branch(full, ())
-    return sorted(results)
+    branch(full, (), 0)
+    return sorted(covers)
 
 
 def greedy_cover(

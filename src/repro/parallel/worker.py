@@ -2,8 +2,8 @@
 
 Each pool worker holds one :class:`WorkerState`: a resilient executor
 (whose circuit breakers span every request the worker serves, matching
-the serial executor's semantics) plus one warm
-:class:`~repro.planner.context.PlannerContext` that every request the
+the serial executor's semantics) and the executor's one warm
+:class:`~repro.planner.context.PlannerContext`, which every request the
 worker serves plans on.  Every memo in a context is keyed on the
 structure of queries and view definitions, never on catalog identity,
 so one context is sound across every catalog and every catalog change
@@ -151,7 +151,6 @@ class WorkerState:
 
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
-        self.context = PlannerContext()
         cache: PlanCache | None = None
         if config.cache_dir is not None:
             cache = PlanCache(
@@ -163,8 +162,8 @@ class WorkerState:
             config.policy,
             cache=cache,
             profile=config.profile,
-            context_factory=lambda: self.context,
         )
+        self.context = self.executor.context
 
     def run(self, task: WorkerTask) -> WorkerResult:
         """Serve one task, activating its chaos faults if any."""

@@ -229,7 +229,6 @@ class ResilientExecutor:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         rng: Callable[[], float] = random.random,
-        context_factory: Callable[[], PlannerContext] = PlannerContext,
         profile: bool = False,
     ) -> None:
         self.policy = policy if policy is not None else ServicePolicy()
@@ -240,7 +239,9 @@ class ResilientExecutor:
         self._clock = clock
         self._sleep = sleep
         self._rng = rng
-        self._context_factory = context_factory
+        #: The context every request plans on, so a repeated request
+        #: replans warm; every memo in it is keyed on structure.
+        self.context = PlannerContext()
         self._breakers: dict[str, CircuitBreaker] = {
             name: CircuitBreaker(self.policy.breaker, clock=clock)
             for name in self.chain
@@ -497,24 +498,20 @@ class ResilientExecutor:
         deadline_at: float | None,
     ) -> _Attempted:
         """One backend's retry loop; never raises except for input errors."""
-        context = self._context_factory()
-        before = context.snapshot()
+        before = self.context.snapshot()
         result = _Attempted()
         try:
-            return self._retry_loop(
-                request, backend, deadline_at, context, result
-            )
+            return self._retry_loop(request, backend, deadline_at, result)
         finally:
             # The delta even on raise: an input error's outcome still
             # reports whatever planning work preceded it.
-            result.stats = context.snapshot().since(before)
+            result.stats = self.context.snapshot().since(before)
 
     def _retry_loop(
         self,
         request: PlanRequest,
         backend: str,
         deadline_at: float | None,
-        context: PlannerContext,
         result: _Attempted,
     ) -> _Attempted:
         breaker = self._breakers[backend]
@@ -543,7 +540,7 @@ class ResilientExecutor:
                     request.query,
                     request.views,
                     backend=backend,
-                    context=context,
+                    context=self.context,
                     budget=attempt_budget,
                     **dict(request.options),
                 )

@@ -18,8 +18,8 @@ point              fired from
 ``cache_lookup``   :meth:`repro.containment.memo.ContainmentCache._memoized`,
                    once per memoized containment/minimization operation
 ``enumeration``    :func:`repro.core.view_tuples.view_tuples` (per view
-                   tuple) and the :mod:`repro.core.set_cover` branch
-                   search (per node)
+                   tuple) and the :mod:`repro.core.set_cover` searches
+                   (per memo state and per enumeration node)
 ``service_retry``  :meth:`repro.service.ResilientExecutor.execute`, once
                    per planning attempt (before the backend runs)
 ``cache_read``     :meth:`repro.service.PlanCache.read`, once per plan
@@ -113,7 +113,8 @@ _POINT_DESCRIPTIONS: dict[str, str] = {
         "memoized containment/minimization operations in ContainmentCache"
     ),
     "enumeration": (
-        "view-tuple enumeration (per tuple) and set-cover branching (per node)"
+        "view-tuple enumeration (per tuple) and set-cover search "
+        "(per memo state and per enumeration node)"
     ),
     "service_retry": (
         "resilient executor, once per planning attempt before the backend runs"

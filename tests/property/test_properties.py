@@ -239,6 +239,44 @@ class TestSetCover:
                 universe, sets, pivot_order=order
             ) == sorted(irredundant)
 
+    @settings(max_examples=80, deadline=None)
+    @given(subsets, st.integers(min_value=1, max_value=6))
+    def test_capped_irredundant_covers_are_the_first_discovered(
+        self, sets, cap
+    ):
+        """``on_cover`` reports each cover once, in the order plain pivot
+        branching first reaches it, and a cap keeps the first reported."""
+        universe = frozenset(range(4))
+
+        def covers(chosen):
+            return universe <= frozenset().union(*(sets[i] for i in chosen))
+
+        # Reference: branch on the least uncovered element over every
+        # set holding it, in index order, and skip covers already seen.
+        reference: list[tuple[int, ...]] = []
+
+        def branch(uncovered, chosen):
+            if not uncovered:
+                cover = tuple(sorted(chosen))
+                redundant = any(
+                    covers(cover[:i] + cover[i + 1:]) for i in range(len(cover))
+                )
+                if not redundant and cover not in reference:
+                    reference.append(cover)
+                return
+            pivot = min(uncovered)
+            for index, members in enumerate(sets):
+                if pivot in members and index not in chosen:
+                    branch(uncovered - members, chosen + (index,))
+
+        branch(universe, ())
+        discovered: list[tuple[int, ...]] = []
+        irredundant_covers(universe, sets, on_cover=discovered.append)
+        assert discovered == reference
+        assert irredundant_covers(universe, sets, cap) == sorted(
+            discovered[:cap]
+        )
+
 
 class TestCoreCoverSoundness:
     @settings(max_examples=15, deadline=None)

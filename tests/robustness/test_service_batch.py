@@ -149,6 +149,21 @@ class TestBatchCommand:
         ]
         assert "batch: 2 ok, 0 degraded, 0 failed" in captured.err
 
+    def test_serial_batch_replans_a_repeated_request_warm(
+        self, tmp_path, views_file, capsys
+    ):
+        # Serial batch plans every request on the executor's one context,
+        # as a pool worker does, so a repeat needs no homomorphism search.
+        line = json.dumps({"query": QUERY})
+        requests = write_requests(tmp_path, [line, line])
+        code = main(["batch", requests, "--views", views_file, "--profile"])
+        outcomes, _ = outcome_lines(capsys)
+        assert code == 0
+        searches = [o["profile"]["search"]["hom_searches"] for o in outcomes]
+        assert searches[0] > 0
+        assert searches[1] == 0
+        assert outcomes[1]["rewritings"] == outcomes[0]["rewritings"]
+
     def test_text_format(self, tmp_path, views_file, capsys):
         requests = write_requests(
             tmp_path, [json.dumps({"id": "t1", "query": QUERY})]

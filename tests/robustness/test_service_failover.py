@@ -186,15 +186,20 @@ class TestDegradedServing:
         """Acceptance: all backends faulted -> the stale (past-TTL) cache
         entry is served with ``degraded: true`` instead of failing."""
         cache = PlanCache(tmp_path / "plans", ttl_seconds=0.0)
-        executor = make_executor(
-            fake_clock,
-            chain=("corecover", "bucket", "naive"),
-            max_attempts=1,
-            cache=cache,
+        settings = {
+            "chain": ("corecover", "bucket", "naive"),
+            "max_attempts": 1,
+            "cache": cache,
+        }
+        # An earlier executor primes the cache.  This one's context starts
+        # cold: a memoized plan needs no hom search, so the injected fault
+        # could not take corecover down.
+        primed = make_executor(fake_clock, **settings).execute(
+            PlanRequest(*workload, id="warm")
         )
-        primed = executor.execute(PlanRequest(*workload, id="warm"))
         assert primed.ok and primed.cache == "miss"
 
+        executor = make_executor(fake_clock, **settings)
         with inject(RaiseFault("hom_search", times=None)):
             outcome = executor.execute(PlanRequest(*workload, id="cold"))
         assert outcome.status == "degraded"
