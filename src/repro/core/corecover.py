@@ -40,11 +40,18 @@ from ..datalog.query import ConjunctiveQuery
 from ..errors import UnsupportedQueryError
 from ..planner.context import PlannerContext
 from ..profiling.phases import profile_from_stages
-from ..views.view import View, ViewCatalog, ViewForms, comparison_atoms
+from ..views.view import (
+    View,
+    ViewCatalog,
+    ViewForms,
+    comparison_atoms,
+    relational_pairs,
+)
 from .equivalence import (
-    core_representatives,
+    class_representatives,
     group_cores_by_coverage,
     group_equivalent_views,
+    maximal_coverage_count,
 )
 from .set_cover import irredundant_covers, minimum_covers
 from .tuple_core import TupleCore, tuple_cores
@@ -233,42 +240,45 @@ def core_cover_impl(
     # pair with the minimized query has no answer over its canonical
     # database — no view tuple, no core, no place in any rewriting
     # (Section 3.3) — so neither the grouping hom searches nor the
-    # view-tuple evaluation need ever touch it.  A ViewCatalog answers
-    # from its index; a bare sequence falls back to a signature scan.
+    # view-tuple evaluation need ever touch it.
     t0 = time.perf_counter()
     with ctx.stage("grouping"):
-        if not prune_views:
-            touched = view_list
-        elif isinstance(views, ViewCatalog):
-            touched = list(views.relevant_views(minimized))
-        else:
-            pairs = frozenset(
-                (atom.predicate, atom.arity)
-                for atom in minimized.body
-                if not atom.is_comparison
-            )
-            touched = [
-                view
-                for view in view_list
-                if not view.predicate_signature()
-                or view.predicate_signature() & pairs
-            ]
-
-        # Section 5.2: group the surviving views into equivalence
-        # classes, keep representatives.  A catalog keeps the classes it
-        # has computed, so only views no earlier call classified cost
-        # hom searches here.
-        if group_views:
+        if group_views and prune_views and isinstance(views, ViewCatalog):
+            # Section 5.2: group the relevant views into equivalence
+            # classes, keep representatives.  A catalog keeps a table of
+            # the classes it has computed, so only relevant views no
+            # earlier call classified cost hom searches here, and the
+            # rest is a filter over the table's rows.
             classes = group_equivalent_views(
-                touched,
-                ctx,
-                views.class_memo if isinstance(views, ViewCatalog) else None,
+                views, ctx, views.class_memo, relevant_to=minimized
             )
-            representatives = [members[0] for members in classes]
-            view_classes = len(classes)
         else:
-            representatives = touched
-            view_classes = len(touched)
+            # A catalog answers the prune from its index; a bare
+            # sequence falls back to a signature scan.
+            if not prune_views:
+                touched = view_list
+            elif isinstance(views, ViewCatalog):
+                touched = list(views.relevant_views(minimized))
+            else:
+                pairs = relational_pairs(minimized)
+                touched = [
+                    view
+                    for view in view_list
+                    if not view.predicate_signature()
+                    or view.predicate_signature() & pairs
+                ]
+            if group_views:
+                classes = group_equivalent_views(
+                    touched,
+                    ctx,
+                    views.class_memo if isinstance(views, ViewCatalog) else None,
+                )
+            else:
+                # Ungrouped (the Section 7 ablation): one class per view.
+                classes = [[view] for view in touched]
+        representatives = [members[0] for members in classes]
+        view_classes = len(classes)
+        touched_views = sum(map(len, classes))
     grouping_seconds = time.perf_counter() - t0
 
     # Each view's compiled form depends on its definition alone, so a
@@ -300,18 +310,12 @@ def core_cover_impl(
     core_seconds = time.perf_counter() - t0
 
     # Section 5.2 again: group view tuples by coverage.
-    if group_tuples:
-        working_cores = core_representatives(cores)
-    else:
-        working_cores = list(cores)
-    coverage_sets = set(group_cores_by_coverage(cores))
-    tuple_class_count = len(coverage_sets)
-    maximal_tuple_classes = sum(
-        1
-        for covered in coverage_sets
-        if covered
-        and not any(covered < other for other in coverage_sets)
+    coverage = group_cores_by_coverage(cores)
+    working_cores = (
+        class_representatives(coverage) if group_tuples else list(cores)
     )
+    tuple_class_count = len(coverage)
+    maximal_tuple_classes = maximal_coverage_count(coverage)
 
     nonempty = [core for core in working_cores if not core.is_empty]
     empty = [core.view_tuple for core in cores if core.is_empty]
@@ -335,11 +339,15 @@ def core_cover_impl(
             # Irredundant covers are additive, so each one can be recorded
             # as a certified best-so-far rewriting the moment it is found
             # (view-tuple rewritings are equivalent by Theorem 5.1).
+            # The enumeration reports each cover once, so the rewriting
+            # built for it here is the one returned.
+            built: dict[tuple[int, ...], ConjunctiveQuery] = {}
+
             def found(cover: tuple[int, ...]) -> None:
-                ctx.record_rewriting(
-                    _build_rewriting(minimized, [nonempty[i] for i in cover]),
-                    certified=True,
+                rewriting = built[cover] = _build_rewriting(
+                    minimized, [nonempty[i] for i in cover]
                 )
+                ctx.record_rewriting(rewriting, certified=True)
 
             # A capped enumeration keeps the default pivot order: which
             # covers exist before the cap depends on discovery order.
@@ -353,10 +361,7 @@ def core_cover_impl(
                     pivot_order if max_rewritings is None else None
                 ),
             )
-            rewritings = tuple(
-                _build_rewriting(minimized, [nonempty[i] for i in cover])
-                for cover in covers
-            )
+            rewritings = tuple(built[cover] for cover in covers)
         else:
             # Minimum covers are returned together, once the search has
             # proved their size minimum, so they are recorded then.
@@ -378,7 +383,7 @@ def core_cover_impl(
     stats = CoreCoverStats(
         total_views=len(view_list),
         view_classes=view_classes,
-        touched_views=len(touched),
+        touched_views=touched_views,
         total_view_tuples=len(tuples),
         view_tuple_classes=tuple_class_count,
         maximal_tuple_classes=maximal_tuple_classes,

@@ -16,12 +16,13 @@ quadratic pairwise equivalence tests (the paper notes this up-front cost
 The view classes depend only on the catalog, so a
 :class:`~repro.views.view.ViewCatalog` keeps them in its
 :class:`~repro.views.view.ViewClassMemo`: CoreCover's grouping stage
-classifies each view once per catalog rather than once per query.
+classifies each view once per catalog rather than once per query, and
+reads a query's classes off one class table per catalog version.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..containment.containment import is_equivalent_to
 from ..containment.memo import CacheCounter
@@ -29,7 +30,7 @@ from ..containment.minimize import minimize
 from ..datalog.atoms import interned_atom
 from ..datalog.query import ConjunctiveQuery
 from ..planner.context import PlannerContext
-from ..views.view import View, ViewClassMemo
+from ..views.view import View, ViewCatalog, ViewClassMemo
 from .tuple_core import TupleCore
 
 #: Head predicate used to compare view definitions regardless of view name.
@@ -46,10 +47,12 @@ def _neutral_definition(view: View) -> ConjunctiveQuery:
 
 
 def group_equivalent_views(
-    views: Iterable[View],
+    views: Iterable[View] | ViewCatalog,
     context: PlannerContext | None = None,
     memo: ViewClassMemo | None = None,
-) -> list[list[View]]:
+    *,
+    relevant_to: ConjunctiveQuery | None = None,
+) -> list[Sequence[View]]:
     """Partition views into classes equivalent as queries.
 
     Two views are compared by their definitions with the head predicate
@@ -69,6 +72,13 @@ def group_equivalent_views(
     restricted to it, so a partially filled memo changes only how much
     work this call does, never its answer.
 
+    With *relevant_to*, *views* is a :class:`~repro.views.view.ViewCatalog`
+    and the call groups ``views.relevant_views(relevant_to)``.  When
+    *memo* is that catalog's own, the classes are read off its class
+    table (:meth:`~repro.views.view.ViewClassMemo.relevant_classes`)
+    instead of being rebuilt view by view; the answer is the same, with
+    each class as the table's own tuple rather than a fresh list.
+
     With a :class:`PlannerContext`, minimization and the equivalence
     tests are memoized on structural keys, and its ``view_class`` counter
     records each view as a hit (labelled before this call) or a miss.
@@ -82,12 +92,17 @@ def group_equivalent_views(
     counter = (
         context.counters["view_class"] if context is not None else CacheCounter()
     )
-    return memo.group(
-        views,
-        lambda view: minimize_fn(_neutral_definition(view)),
-        equivalent,
-        counter,
-    )
+
+    def minimized(view: View) -> ConjunctiveQuery:
+        return minimize_fn(_neutral_definition(view))
+
+    if relevant_to is not None:
+        if memo is views.class_memo:
+            return memo.relevant_classes(
+                views, relevant_to, minimized, equivalent, counter
+            )
+        views = views.relevant_views(relevant_to)
+    return memo.group(views, minimized, equivalent, counter)
 
 
 def view_representatives(
@@ -115,8 +130,31 @@ def group_cores_by_coverage(
 
 def core_representatives(cores: Sequence[TupleCore]) -> list[TupleCore]:
     """One representative tuple-core per coverage class (nonempty first)."""
-    groups = group_cores_by_coverage(cores)
+    return class_representatives(group_cores_by_coverage(cores))
+
+
+def class_representatives(
+    groups: Mapping[frozenset[int], Sequence[TupleCore]],
+) -> list[TupleCore]:
+    """The first core of each coverage class of *groups*: classes that
+    cover more subgoals first, ties by their sorted subgoals."""
     ordered = sorted(
         groups.items(), key=lambda item: (-len(item[0]), sorted(item[0]))
     )
     return [members[0] for _, members in ordered]
+
+
+def maximal_coverage_count(coverage: Iterable[frozenset[int]]) -> int:
+    """How many distinct nonempty sets of *coverage* no other set
+    strictly contains: the maximal tuple classes of Figures 7(b)/9(b).
+
+    The sets are scanned largest first against the maximal sets found
+    so far.  A strict superset is larger, so it is scanned earlier, and
+    a set below a non-maximal set is below the maximal set above that
+    one, so the maximal sets found so far are the only ones to test.
+    """
+    maximal: list[frozenset[int]] = []
+    for covered in sorted(coverage, key=len, reverse=True):
+        if covered and not any(covered <= other for other in maximal):
+            maximal.append(covered)
+    return len(maximal)

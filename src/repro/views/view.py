@@ -28,7 +28,8 @@ monotone **version** number:
   exactly what changed in its acknowledgements; and
 * a lazily filled :class:`ViewClassMemo` of the Section 5.2 view
   equivalence classes (:attr:`ViewCatalog.class_memo`), which the
-  planner's grouping stage fills and reads, and every delta prunes; and
+  planner's grouping stage fills and reads through one class table per
+  catalog version, and every delta prunes; and
 * lazily compiled :class:`ViewForms` (:attr:`ViewCatalog.view_forms`):
   each view's definition as a :class:`~repro.engine.evaluate.SlotForm`,
   the join kernel the view-tuple and tuple-core stages run.
@@ -51,7 +52,15 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+)
 
 from ..datalog.query import ConjunctiveQuery, MalformedQueryError
 from ..datalog.parser import parse_query
@@ -165,6 +174,22 @@ class CatalogDelta:
         )
 
 
+class _ClassTable(NamedTuple):
+    """A :class:`ViewClassMemo`'s class table at one catalog version."""
+
+    version: int
+    #: A bit for each ``(predicate, arity)`` pair the labelled views
+    #: mention.
+    bits: dict[tuple[str, int], int]
+    #: One ``(predicate mask, members)`` row per class of the catalog's
+    #: labelled views, in :meth:`ViewClassMemo.group`'s order for the
+    #: whole catalog; the mask holds the bits of the class's predicate
+    #: signature.
+    rows: tuple[tuple[int, tuple[View, ...]], ...]
+    #: The catalog's other views, in registration order.
+    unlabelled: tuple[View, ...]
+
+
 class ViewClassMemo:
     """The Section 5.2 view equivalence classes one catalog has computed.
 
@@ -178,12 +203,20 @@ class ViewClassMemo:
     were made for, so a view that is not the labelled one (a replaced
     definition under the same name) reads as unseen.
 
+    For the planner's catalog-wide reads (:meth:`relevant_classes`) the
+    memo also keeps a **class table**: the classes of the catalog's
+    labelled views in the order :meth:`group` yields them for the whole
+    catalog, and the views still unlabelled.  It is built on the first
+    read, stamped with the catalog's version, and cleared by every
+    classification and every :meth:`drop`.
+
     :attr:`lock` serializes classification: two threads classifying
     equivalent views at once could otherwise open two classes for them.
     """
 
     __slots__ = (
-        "lock", "_labels", "_buckets", "_anchors", "_sizes", "_next_class"
+        "lock", "_labels", "_buckets", "_anchors", "_sizes", "_next_class",
+        "_table",
     )
 
     def __init__(self) -> None:
@@ -197,6 +230,8 @@ class ViewClassMemo:
         #: Class id -> labelled members; a class left empty drops its anchor.
         self._sizes: dict[int, int] = {}
         self._next_class = 0
+        #: The class table, or ``None`` until the next catalog-wide read.
+        self._table: _ClassTable | None = None
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -219,48 +254,135 @@ class ViewClassMemo:
         classified views.
         """
         labels = self._labels
-        grouped: dict[int, dict[int, list[View]]] = {}
+        found: list[tuple[View, int, int]] = []
         hits = misses = 0
         with self.lock:
             try:
                 for view in views:
-                    name = view.name
-                    label = labels.get(name)
+                    label = labels.get(view.name)
                     if label is not None and label[0] is view:
                         hits += 1
                     else:
                         misses += 1
-                        if label is not None:
-                            self._forget(name)
-                        label = self._classify(
-                            name, view, minimized(view), equivalent
-                        )
-                    _, bucket, class_id = label
-                    classes = grouped.get(bucket)
-                    if classes is None:
-                        classes = grouped[bucket] = {}
-                    members = classes.get(class_id)
-                    if members is None:
-                        classes[class_id] = [view]
-                    else:
-                        members.append(view)
+                        label = self._classify(view, minimized, equivalent)
+                    found.append(label)
             finally:
                 counter.hits += hits
                 counter.misses += misses
-        return [
-            members
-            for classes in grouped.values()
-            for members in classes.values()
-        ]
+        return _ordered_classes(found)
+
+    def relevant_classes(
+        self,
+        catalog: "ViewCatalog",
+        query: ConjunctiveQuery,
+        minimized: Callable[[View], ConjunctiveQuery],
+        equivalent: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
+        counter: "CacheCounter",
+    ) -> list[tuple[View, ...]]:
+        """``group(catalog.relevant_views(query), ...)``, read off the table.
+
+        *catalog* must own this memo.  Only the relevant views that are
+        still unlabelled are classified, in registration order, as
+        :meth:`group` would meet them, so the hom searches and the
+        counts are :meth:`group`'s.  The answer is then the table's rows
+        whose predicate signature :func:`is_relevant` to the query (the
+        test runs on bitmasks), as the table's own member tuples.  Equivalent views share one
+        predicate signature, and so do all views in one signature
+        bucket, because minimization keeps every ``(predicate, arity)``
+        pair.  So the relevant views are whole buckets of the table, and
+        the table's order restricted to them is :meth:`group`'s order
+        over them.
+        """
+        pairs = relational_pairs(query)
+        with self.lock:
+            table = self._tabulate(catalog)
+            pending = [
+                view
+                for view in table.unlabelled
+                if is_relevant(view.predicate_signature(), pairs)
+            ]
+            if pending:
+                classified = 0
+                try:
+                    for view in pending:
+                        self._classify(view, minimized, equivalent)
+                        classified += 1
+                except BaseException:
+                    # Count what group's walk had reached: the relevant
+                    # views before this one, the classified ones among
+                    # them as misses, and this one as a miss.
+                    stop = pending[classified]
+                    reached = 0
+                    for view in catalog:
+                        if view is stop:
+                            break
+                        reached += is_relevant(view.predicate_signature(), pairs)
+                    counter.hits += reached - classified
+                    counter.misses += classified + 1
+                    raise
+                table = self._tabulate(catalog)
+            # is_relevant on bitmasks: this filter is all a call on a
+            # fully labelled catalog does.
+            if pairs:
+                wanted = 0
+                for pair in pairs:
+                    wanted |= table.bits.get(pair, 0)
+                classes = [
+                    members
+                    for mask, members in table.rows
+                    if mask & wanted or not mask
+                ]
+            else:
+                classes = [members for _, members in table.rows]
+        counter.hits += sum(map(len, classes)) - len(pending)
+        counter.misses += len(pending)
+        return classes
+
+    def _tabulate(self, catalog: "ViewCatalog") -> _ClassTable:
+        """The class table at *catalog*'s version, rebuilt if stale.
+
+        The version is read before the views: a catalog installs its
+        views before it bumps the version, so a table never carries a
+        newer stamp than its rows.
+        """
+        version = catalog.version
+        table = self._table
+        if table is not None and table.version == version:
+            return table
+        labels = self._labels
+        labelled: list[tuple[View, int, int]] = []
+        unlabelled: list[View] = []
+        for name, view in catalog._views.items():
+            label = labels.get(name)
+            if label is not None and label[0] is view:
+                labelled.append(label)
+            else:
+                unlabelled.append(view)
+        bits: dict[tuple[str, int], int] = {}
+        rows = []
+        for members in _ordered_classes(labelled):
+            mask = 0
+            for pair in members[0].predicate_signature():
+                if pair not in bits:
+                    bits[pair] = 1 << len(bits)
+                mask |= bits[pair]
+            rows.append((mask, tuple(members)))
+        self._table = table = _ClassTable(
+            version, bits, tuple(rows), tuple(unlabelled)
+        )
+        return table
 
     def _classify(
         self,
-        name: str,
         view: View,
-        definition: ConjunctiveQuery,
+        minimized: Callable[[View], ConjunctiveQuery],
         equivalent: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
     ) -> tuple[View, int, int]:
-        """Label the unlabelled *view* (``name`` has no label)."""
+        """Label *view*, forgetting a stale label of its name first."""
+        name = view.name
+        self._forget(name)
+        self._table = None
+        definition = minimized(view)
         signature = definition.signature()
         bucket = self._buckets.get(signature)
         if bucket is None:
@@ -281,6 +403,7 @@ class ViewClassMemo:
     def drop(self, names: Iterable[str]) -> None:
         """Forget the labels of *names* (a catalog delta touched them)."""
         with self.lock:
+            self._table = None
             for name in names:
                 self._forget(name)
 
@@ -295,6 +418,24 @@ class ViewClassMemo:
         else:
             anchors = self._anchors[bucket]
             anchors[:] = [a for a in anchors if a[0] != class_id]
+
+
+def _ordered_classes(labels: Iterable[tuple[View, int, int]]) -> list[list[View]]:
+    """Labelled views as classes: buckets in first-seen order, classes
+    by first-seen member, members in input order."""
+    grouped: dict[int, dict[int, list[View]]] = {}
+    for view, bucket, class_id in labels:
+        classes = grouped.get(bucket)
+        if classes is None:
+            classes = grouped[bucket] = {}
+        members = classes.get(class_id)
+        if members is None:
+            classes[class_id] = [view]
+        else:
+            members.append(view)
+    return [
+        members for classes in grouped.values() for members in classes.values()
+    ]
 
 
 class ViewForms:
@@ -407,8 +548,9 @@ class ViewCatalog:
     def class_memo(self) -> ViewClassMemo:
         """The catalog's lazily filled Section 5.2 view classes.
 
-        :func:`repro.core.equivalence.group_equivalent_views` fills it;
-        every delta drops the names it adds, removes or replaces.
+        :func:`repro.core.equivalence.group_equivalent_views` fills it
+        and reads its class table; every delta clears the table and
+        drops the names it adds, removes or replaces.
         """
         return self._classes
 
@@ -651,11 +793,7 @@ class ViewCatalog:
         hence no place in any contained rewriting.  A query with no
         relational atoms keeps the whole catalog (nothing provable).
         """
-        pairs = frozenset(
-            (atom.predicate, atom.arity)
-            for atom in query.body
-            if not atom.is_comparison
-        )
+        pairs = relational_pairs(query)
         if not pairs:
             return tuple(self._views.values())
         return self.views_for_predicates(pairs)
@@ -702,6 +840,24 @@ class ViewCatalog:
             if predicate in wanted:
                 hits.update(names)
         return frozenset(hits)
+
+
+def relational_pairs(query: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
+    """The ``(predicate, arity)`` pairs of *query*'s relational atoms."""
+    return frozenset(
+        (atom.predicate, atom.arity)
+        for atom in query.body
+        if not atom.is_comparison
+    )
+
+
+def is_relevant(
+    signature: frozenset[tuple[str, int]], pairs: frozenset[tuple[str, int]]
+) -> bool:
+    """Whether :meth:`ViewCatalog.relevant_views` keeps a view with
+    predicate *signature* for a query with relational *pairs*: they
+    share a pair, or one side has none, which proves nothing."""
+    return not (signature and pairs) or not signature.isdisjoint(pairs)
 
 
 def comparison_atoms(views: Iterable[View]) -> tuple[str, ...]:

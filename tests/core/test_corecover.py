@@ -4,6 +4,7 @@ import pytest
 
 from repro.containment import is_equivalent_to
 from repro.core import add_filter_subgoal, core_cover, core_cover_star
+from repro.core import corecover
 from repro.datalog import parse_query
 from repro.experiments.paper_examples import (
     car_loc_part,
@@ -152,6 +153,63 @@ class TestBehaviour:
         clp = car_loc_part()
         for rewriting in core_cover_star(clp.query, clp.views).rewritings:
             assert rewriting.head == clp.query.head
+
+
+#: Ungrouped CoreCover* over three e-views and three f-views: every
+#: (v_i, w_j) pair is an irredundant cover.
+_PAIRS = [
+    f"q(X, Y) :- v{i}(X, Y), w{j}(Y, Z)" for i in range(3) for j in range(3)
+]
+
+
+class TestStarBuildsEachRewritingOnce:
+    """CoreCover* builds a rewriting when the enumeration reports its
+    cover, and returns that same object: one build per rewriting."""
+
+    @pytest.mark.parametrize(
+        "cap, expected", [(None, _PAIRS), (4, _PAIRS[:4]), (1, _PAIRS[:1])]
+    )
+    def test_build_count_and_output(self, monkeypatch, cap, expected):
+        built = []
+        original = corecover._build_rewriting
+
+        def counting(minimized, chosen):
+            rewriting = original(minimized, chosen)
+            built.append(rewriting)
+            return rewriting
+
+        monkeypatch.setattr(corecover, "_build_rewriting", counting)
+        q = parse_query("q(X, Y) :- e(X, Y), f(Y, Z)")
+        views = ViewCatalog(
+            [f"v{i}(A, B) :- e(A, B)" for i in range(3)]
+            + [f"w{i}(A, B) :- f(A, B)" for i in range(3)]
+        )
+        result = core_cover_star(
+            q, views, group_views=False, group_tuples=False,
+            max_rewritings=cap,
+        )
+        assert [str(r) for r in result.rewritings] == expected
+        assert len(built) == len(result.rewritings)
+        assert {id(r) for r in built} == {id(r) for r in result.rewritings}
+
+    def test_car_loc_part_output(self, monkeypatch):
+        calls = []
+        original = corecover._build_rewriting
+        monkeypatch.setattr(
+            corecover,
+            "_build_rewriting",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        clp = car_loc_part()
+        result = core_cover_star(
+            clp.query, clp.views, group_views=False, group_tuples=False
+        )
+        assert [str(r) for r in result.rewritings] == [
+            "q1(S, C) :- v1(M, a, C), v2(S, M, C)",
+            "q1(S, C) :- v2(S, M, C), v5(M, a, C)",
+            "q1(S, C) :- v4(M, a, C, S)",
+        ]
+        assert len(calls) == 3
 
 
 class TestComparisonGuard:

@@ -3,6 +3,8 @@
 import copy
 import pickle
 
+from hypothesis import given, settings, strategies as st
+
 from repro.containment import minimize
 from repro.core import (
     core_representatives,
@@ -16,6 +18,7 @@ from repro.datalog import parse_query
 from repro.experiments.paper_examples import car_loc_part
 from repro.planner import PlannerContext, plan
 from repro.views import ViewCatalog, as_view
+from repro.core.equivalence import maximal_coverage_count
 from repro.views.view import ViewClassMemo
 
 
@@ -208,3 +211,28 @@ class TestCoreGrouping:
         sizes = [len(core.covered) for core in reps]
         assert sizes == sorted(sizes, reverse=True)
         assert len(reps) == 4
+
+
+def _all_pairs_maximal(coverage):
+    """The maximal nonempty sets by comparing every pair."""
+    return sum(
+        1
+        for covered in coverage
+        if covered and not any(covered < other for other in coverage)
+    )
+
+
+class TestMaximalCoverageCount:
+    def test_car_loc_part(self):
+        # {0,1,2} (v4) holds {0,1} and {2}; {} (v3) is not a class that
+        # covers anything.
+        coverage = [frozenset({0, 1}), frozenset({2}), frozenset(),
+                    frozenset({0, 1, 2})]
+        assert maximal_coverage_count(coverage) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.frozensets(st.integers(0, 7), max_size=8), max_size=40))
+    def test_largest_first_scan_equals_all_pairs(self, coverage):
+        assert maximal_coverage_count(coverage) == _all_pairs_maximal(
+            coverage
+        )

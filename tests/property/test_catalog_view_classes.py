@@ -14,7 +14,12 @@ classifies every view from scratch.  The laws:
   inequivalent;
 * a call whose budget runs out mid-grouping leaves a memo that a later
   unbudgeted call completes to the oracle's answer;
-* threads filling one catalog at once never split a class.
+* threads filling one catalog at once never split a class;
+* the catalog's class table answers a query's relevant views exactly as
+  a walk over them would: same ordered classes, same touched count,
+  same ``view_class`` hits and misses, whether the memo starts empty,
+  partly or fully filled, over any pair set, after any delta script,
+  and across a budget that runs out mid-labelling.
 
 Catalogs are seeded with renamed duplicates and redundant-atom
 equivalents of their views, so nontrivial classes exist in every shape,
@@ -31,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ResourceBudget, ViewCatalog
+from repro.errors import BudgetExceededError
 from repro.containment import is_equivalent_to
 from repro.core import group_equivalent_views
 from repro.datalog import Atom, Variable
@@ -419,3 +425,149 @@ class TestConcurrentFill:
         # class.
         assert len(minimized) == 1
         assert found == {"holder": [["v1"]], "waiter": [["v1", "v2"]]}
+
+
+def _pair_query(pairs):
+    """A boolean query whose relational atoms carry exactly *pairs*."""
+    return ConjunctiveQuery(
+        Atom("q", ()),
+        tuple(
+            Atom(predicate, tuple(Variable(f"X{i}_{j}") for j in range(arity)))
+            for i, (predicate, arity) in enumerate(sorted(pairs))
+        ),
+    )
+
+
+def _random_pairs(rng, catalog):
+    """Pairs the catalog's views mention, sometimes none, sometimes with
+    an arity or a predicate no view has."""
+    mentioned = sorted(catalog.indexed_predicates())
+    pairs = set(rng.sample(mentioned, rng.randint(0, min(3, len(mentioned)))))
+    if mentioned and rng.random() < 0.3:
+        predicate, arity = rng.choice(mentioned)
+        pairs.add((predicate, arity + 1))
+    if rng.random() < 0.3:
+        pairs.add(("unmentioned", 2))
+    return frozenset(pairs)
+
+
+def _labelled(catalog, views):
+    labels = catalog.class_memo._labels
+    return {
+        view.name
+        for view in views
+        if labels.get(view.name, (None,))[0] is view
+    }
+
+
+def _assert_table_read(catalog, query):
+    """The table's answer and counts equal a walk over the relevant
+    views: classes from a ``caching=False`` oracle, hits for the views
+    labelled before the call, misses for the rest."""
+    relevant = catalog.relevant_views(query)
+    before = _labelled(catalog, relevant)
+    context = PlannerContext()
+    classes = group_equivalent_views(
+        catalog, context, catalog.class_memo, relevant_to=query
+    )
+    assert _names(classes) == _oracle_classes(relevant)
+    assert sum(map(len, classes)) == len(relevant)
+    counter = context.counters["view_class"]
+    assert (counter.hits, counter.misses) == (
+        len(before), len(relevant) - len(before)
+    )
+    assert _labelled(catalog, relevant) == {view.name for view in relevant}
+
+
+def _budgeted_read(catalog, query, limit):
+    """A table read under a hom-search budget.  If the budget runs out,
+    the counts are what a walk in registration order had reached: the
+    views labelled before the call that precede the view it stopped
+    at, and a miss for each view it classified plus that one."""
+    relevant = catalog.relevant_views(query)
+    before = _labelled(catalog, relevant)
+    context = PlannerContext()
+    try:
+        with context.budgeted(ResourceBudget(max_hom_searches=limit)):
+            group_equivalent_views(
+                catalog, context, catalog.class_memo, relevant_to=query
+            )
+    except BudgetExceededError:
+        after = _labelled(catalog, relevant)
+        stop = next(
+            index
+            for index, view in enumerate(relevant)
+            if view.name not in after
+        )
+        hits = sum(1 for view in relevant[:stop] if view.name in before)
+        counter = context.counters["view_class"]
+        assert (counter.hits, counter.misses) == (
+            hits, len(after - before) + 1
+        )
+        return True
+    return False
+
+
+class TestClassTableEqualsWalk:
+    @pytest.mark.parametrize("fill", ["empty", "partly", "fully"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(sorted(SHAPES)),
+        st.integers(min_value=0, max_value=5_000),
+        operations,
+    )
+    def test_random_pairs_and_scripts(self, fill, shape, seed, script):
+        scenario = _Scenario(shape, seed)
+        rng = random.Random(seed)
+        catalog = scenario.catalog(rng)
+        # A view with no relational atom: every query keeps it.
+        catalog.add(ConjunctiveQuery(Atom(scenario.fresh_name(), ()), ()))
+        if fill == "partly":
+            views = list(catalog)
+            group_equivalent_views(
+                rng.sample(views, len(views) // 2),
+                PlannerContext(),
+                catalog.class_memo,
+            )
+        elif fill == "fully":
+            group_equivalent_views(
+                list(catalog), PlannerContext(), catalog.class_memo
+            )
+        _assert_table_read(catalog, _pair_query(frozenset()))
+        for action, choice in script:
+            pick = random.Random(choice)
+            if action == "add":
+                catalog.add(
+                    _named(
+                        pick.choice(scenario.candidates),
+                        scenario.fresh_name(),
+                    )
+                )
+            elif action == "remove" and len(catalog) > 1:
+                catalog.remove_view(pick.choice(catalog.names()))
+            elif action == "replace":
+                catalog.replace_view(
+                    _named(
+                        pick.choice(scenario.candidates),
+                        pick.choice(catalog.names()),
+                    )
+                )
+            query = _pair_query(_random_pairs(pick, catalog))
+            if pick.random() < 0.3:
+                _budgeted_read(catalog, query, pick.randint(1, 12))
+            _assert_table_read(catalog, query)
+            _assert_table_read(catalog, pick.choice(scenario.queries))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_budget_runs_out_mid_labelling(self, shape):
+        scenario = _Scenario(shape, 11)
+        catalog = scenario.catalog(random.Random(11))
+        query = scenario.queries[0]
+        relevant = catalog.relevant_views(query)
+        # Raise the budget one search at a time until a read stops with
+        # some, not all, relevant views labelled; then read unbudgeted.
+        for limit in range(1, 10_000):
+            assert _budgeted_read(catalog, query, limit)
+            if 0 < len(_labelled(catalog, relevant)) < len(relevant):
+                break
+        _assert_table_read(catalog, query)
