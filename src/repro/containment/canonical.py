@@ -14,6 +14,7 @@ the query or views.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..datalog.atoms import Atom
 from ..datalog.query import ConjunctiveQuery
@@ -70,6 +71,20 @@ class CanonicalDatabase:
     facts: tuple[Atom, ...]
     frozen_head: Atom
     freezing: Substitution
+
+    @cached_property
+    def subgoals(self) -> dict[tuple[str, tuple[object, ...]], tuple[int, ...]]:
+        """Each fact as ``(predicate, argument values)`` -> the indices of
+        the query subgoals it freezes, in body order.
+
+        A fact maps to several indices when the query repeats a subgoal.
+        Built on first use, so once per canonical database.
+        """
+        subgoals: dict[tuple[str, tuple[object, ...]], tuple[int, ...]] = {}
+        for index, fact in enumerate(self.facts):
+            key = (fact.predicate, tuple([arg.value for arg in fact.args]))
+            subgoals[key] = subgoals.get(key, ()) + (index,)
+        return subgoals
 
     def thaw_fact(self, atom: Atom) -> Atom:
         """Thaw a fact (or any atom over frozen constants) back to Q-terms."""

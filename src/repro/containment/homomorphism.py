@@ -287,6 +287,7 @@ def _search(
         # only the first solution): closing the generator runs this.
         if record_nodes is not None and nodes:
             record_nodes(nodes)
+        del backtrack  # the closure refers to itself: break the cycle
 
 
 def find_homomorphism(

@@ -213,7 +213,10 @@ def _guided_search(
                 if extended is not None:
                     yield from backtrack(position + 1, extended)
 
-        yield from backtrack(0, seed)
+        try:
+            yield from backtrack(0, seed)
+        finally:
+            del backtrack  # the closure refers to itself: break the cycle
     finally:
         if record_nodes is not None and nodes:
             record_nodes(nodes)

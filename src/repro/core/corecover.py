@@ -92,7 +92,9 @@ class CoreCoverStats:
     caching_enabled: bool = True
     #: Homomorphism searches actually performed during this run.
     hom_searches: int = 0
-    #: Tuple-core backtracking searches actually performed.
+    #: Tuple-core backtracking searches actually performed.  Only views
+    #: with existential variables are searched: the other cores are read
+    #: off the view-tuple join.
     core_searches: int = 0
     #: Cache hits/misses summed over all planner caches, for this run.
     cache_hits: int = 0

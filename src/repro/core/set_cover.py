@@ -107,8 +107,13 @@ def minimum_covers(
             banned |= 1 << index
 
     full = (1 << len(universe)) - 1
-    fewest(full)
-    descend(full, (), 0)
+    try:
+        fewest(full)
+        descend(full, (), 0)
+    finally:
+        # Each closure refers to itself: break the cycles, which would
+        # otherwise hold the memo until the cyclic collector runs.
+        del fewest, descend
     return sorted(covers)
 
 
@@ -187,7 +192,10 @@ def irredundant_covers(
                 branch(uncovered & ~masks[index], chosen + (index,), banned)
             banned |= 1 << index
 
-    branch(full, (), 0)
+    try:
+        branch(full, (), 0)
+    finally:
+        del branch  # the closure refers to itself: break the cycle
     return sorted(covers)
 
 

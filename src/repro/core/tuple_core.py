@@ -280,7 +280,10 @@ class _CoreSearch:
             if self.atom_variables[index].isdisjoint(binding):
                 backtrack(position + 1, covered, binding)
 
-        backtrack(0, set(), {})
+        try:
+            backtrack(0, set(), {})
+        finally:
+            del backtrack  # the closure refers to itself: break the cycle
         mapping = Substitution(dict(best["binding"]))  # type: ignore[arg-type]
         return TupleCore(self.view_tuple, best["covered"], mapping)  # type: ignore[arg-type]
 
@@ -357,39 +360,10 @@ def tuple_core(
     search node so a resource budget can cancel the search cooperatively.
     ``frame`` is *query*'s :class:`QueryFrame` and ``form`` the view's
     compiled :class:`~repro.engine.evaluate.SlotForm`; the search builds
-    either when it is not given.
+    either when it is not given.  This always searches: only
+    :func:`tuple_cores` takes a core the view-tuple join already read off.
     """
-    if form is None:
-        form = SlotForm(view_tuple.view.definition)
-    if frame is None:
-        frame = query_frame(query)
-    if len(form.variables) == form.head_size:
-        # No existential variable: every candidate binding is the
-        # identity, so nothing conflicts and no closure applies, and the
-        # core is every subgoal equal to an expansion atom.
-        if checkpoint is not None:
-            checkpoint()
-        return TupleCore(
-            view_tuple, _identity_cover(query, view_tuple, frame, form), IDENTITY
-        )
     return _CoreSearch(query, view_tuple, checkpoint, frame, form).run()
-
-
-def _identity_cover(
-    query: ConjunctiveQuery,
-    view_tuple: ViewTuple,
-    frame: QueryFrame,
-    form: SlotForm,
-) -> frozenset[int]:
-    """The subgoals of *query* equal to an atom of the view tuple's
-    expansion, for a view without existential variables."""
-    body = query.body
-    return frozenset(
-        index
-        for predicate, target in form.instantiate(view_tuple.atom.args)
-        for index in frame.atoms_of_signature.get((predicate, len(target)), ())
-        if body[index].args == target
-    )
 
 
 def tuple_cores(
@@ -401,27 +375,33 @@ def tuple_cores(
 ) -> list[TupleCore]:
     """Tuple-cores for a collection of view tuples, in the given order.
 
-    With a :class:`~repro.planner.context.PlannerContext`, cores are
-    memoized by (query, view definition, tuple atom) — the search runs
-    once per structurally distinct view tuple.  Every search of the call
-    shares one :class:`QueryFrame` of *query*.  *forms* supplies the
-    views' compiled forms (a catalog's
-    :attr:`~repro.views.view.ViewCatalog.view_forms`); without it the
-    call compiles throwaway ones.
+    A view tuple whose :attr:`~repro.core.view_tuples.ViewTuple.join_core`
+    answers for *query* (a view with no existential variable, joined over
+    *query*'s own canonical database) gets that core as it is, with the
+    identity mapping: Lemma 4.1 leaves no other.  Every other tuple is
+    searched.  With a :class:`~repro.planner.context.PlannerContext`,
+    searched cores are memoized by (query, view definition, tuple atom)
+    — the search runs once per structurally distinct view tuple.  Every
+    search of the call shares one :class:`QueryFrame` of *query*, built
+    on the first search.  *forms* supplies the views' compiled forms (a
+    catalog's :attr:`~repro.views.view.ViewCatalog.view_forms`); without
+    it the call compiles throwaway ones.
     """
-    frame = query_frame(query)
     if forms is None:
         forms = ViewForms()
-    if context is None:
-        return [
-            tuple_core(
-                query, view_tuple, frame=frame, form=forms.form(view_tuple.view)
-            )
-            for view_tuple in tuples
-        ]
-    return [
-        context.tuple_core(
-            query, view_tuple, frame, forms.form(view_tuple.view)
-        )
-        for view_tuple in tuples
-    ]
+    cores: list[TupleCore] = []
+    frame: QueryFrame | None = None
+    for view_tuple in tuples:
+        joined = view_tuple.join_core
+        if joined is not None and (joined[0] is query or joined[0] == query):
+            cores.append(TupleCore(view_tuple, joined[1], IDENTITY))
+            continue
+        if frame is None:
+            frame = query_frame(query)
+        form = forms.form(view_tuple.view)
+        if context is None:
+            core = tuple_core(query, view_tuple, frame=frame, form=form)
+        else:
+            core = context.tuple_core(query, view_tuple, frame, form)
+        cores.append(core)
+    return cores

@@ -7,11 +7,18 @@ the query's variables.  By construction, any rewriting built from view
 tuples admits a containment mapping from its expansion to the query
 (Lemma 3.2), which is what lets CoreCover skip half of the equivalence
 test.
+
+For a view with no existential variable the join also yields the
+tuple's tuple-core (Definition 4.1): the identity is then the only
+possible mapping (Lemma 4.1), so the core is exactly the set of ``D_Q``
+facts the view's body matched.  :func:`view_tuples` reads it off each
+answer row and :func:`~repro.core.tuple_core.tuple_cores` takes it as
+it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from ..containment.canonical import (
@@ -37,10 +44,19 @@ class ViewTuple:
 
     ``atom`` is the view predicate applied to query variables/constants,
     e.g. ``v1(M, anderson, C)`` in the car-loc-part example.
+
+    ``join_core`` is ``(query, covered)`` when :func:`view_tuples` read
+    the tuple's tuple-core off the join over *query*'s canonical
+    database: the indices of the subgoals the view's body matched, for
+    a view with no existential variable.  It answers for that query
+    only, and takes no part in equality.
     """
 
     view: View
     atom: Atom
+    join_core: tuple[ConjunctiveQuery, frozenset[int]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __str__(self) -> str:
         return str(self.atom)
@@ -96,6 +112,34 @@ def to_view_tuple_rewriting(
     return transformed.dedup_body()
 
 
+#: One view's rows over a canonical database, in view-tuple order: each
+#: thawed argument tuple with its covered subgoals, or ``None`` where the
+#: join cannot tell them (see :func:`view_tuples`).
+ViewRows = tuple[tuple[tuple[Term, ...], frozenset[int] | None], ...]
+
+
+def _matched(
+    form: SlotForm,
+    row: tuple[object, ...],
+    subgoals: dict[tuple[str, tuple[object, ...]], tuple[int, ...]],
+) -> frozenset[int]:
+    """The subgoals whose frozen facts *form*'s body matched on *row*.
+
+    *row* holds the value of every slot (a form with no existential
+    slot), so the body instantiated on it is the facts the join
+    matched.  *subgoals* is the canonical database's
+    :attr:`~repro.containment.canonical.CanonicalDatabase.subgoals`,
+    read with ``.get``: a comparison atom of the view matched no fact,
+    and finds a subgoal only where the query has the same comparison,
+    as the tuple-core search's identity match would.
+    """
+    covered: list[int] = []
+    for predicate, args in form.body:
+        fact = tuple([row[arg] if type(arg) is int else arg.value for arg in args])
+        covered.extend(subgoals.get((predicate, fact), ()))
+    return frozenset(covered)
+
+
 def _thaw_value(value: object) -> Term:
     if isinstance(value, FrozenMarker):
         return Variable(value.variable_name)
@@ -122,11 +166,16 @@ def view_tuples(
     view's form across calls); without it the call compiles throwaway
     forms.
 
+    When *canonical* really is the canonical database of *query*, each
+    tuple of a view with no existential variable carries its tuple-core
+    (:attr:`ViewTuple.join_core`): the subgoals whose frozen facts its
+    body, instantiated on the answer row, matched.
+
     With a :class:`~repro.planner.context.PlannerContext`, the evaluation
-    of each view definition over the canonical database is memoized by
-    (query, definition) — structurally duplicate views are evaluated once.
-    The cache is only consulted when *canonical* really is the canonical
-    database of *query*.
+    of each view definition over the canonical database (its rows and
+    their cores) is memoized by (query, definition) — structurally
+    duplicate views are evaluated once.  The cache is only consulted
+    when *canonical* really is the canonical database of *query*.
 
     A view is evaluated only when every ``(predicate, arity)`` pair of
     its relational body has a fact in the canonical database.  A body
@@ -148,7 +197,8 @@ def view_tuples(
         forms = ViewForms()
     database = Database.from_facts(canonical.facts)
     present = frozenset((fact.predicate, fact.arity) for fact in canonical.facts)
-    use_cache = context is not None and canonical.query == query
+    own = canonical.query == query
+    use_cache = context is not None and own
     # Shared by every view's join over this one database.
     indexes: IndexCache = {}
     # Frozen value -> (thawed term, rendered term).  A frozen constant
@@ -163,17 +213,27 @@ def view_tuples(
         entry = thawed[value] = (term, str(term))
         return entry
 
-    def args_for(form: SlotForm) -> tuple[tuple[Term, ...], ...]:
-        # Thawed argument tuple -> its rendering, the sort key.  Sorting
-        # by the rendered argument tuple matches the historical sort by
-        # str(atom): the view-name prefix is constant per view.
-        unique: dict[tuple[Term, ...], str] = {}
+    def rows_for(form: SlotForm) -> ViewRows:
+        # Cores are read off only the query's own D_Q, and only for a
+        # form whose answer rows hold every slot's value.
+        subgoals = (
+            canonical.subgoals
+            if own and len(form.variables) == form.head_size
+            else None
+        )
+        # Thawed argument tuple -> (its rendering, the sort key; its
+        # core).  Sorting by the rendered argument tuple matches the
+        # historical sort by str(atom): the view-name prefix is constant
+        # per view.
+        unique: dict[tuple[Term, ...], tuple[str, frozenset[int] | None]] = {}
         for row in form.answers(database, indexes):
             entries = [thawed.get(value) or thaw(value) for value in row]
-            unique[tuple([term for term, _ in entries])] = ", ".join(
-                [text for _, text in entries]
+            unique[tuple([term for term, _ in entries])] = (
+                ", ".join([text for _, text in entries]),
+                None if subgoals is None else _matched(form, row, subgoals),
             )
-        return tuple(sorted(unique, key=unique.__getitem__))
+        ordered = sorted(unique.items(), key=lambda item: item[1][0])
+        return tuple([(args, covered) for args, (_, covered) in ordered])
 
     tuples: list[ViewTuple] = []
     for view in views:
@@ -183,15 +243,19 @@ def view_tuples(
             continue
         form = forms.form(view)
         if use_cache:
-            all_args = context.view_tuple_args(
-                query, form, lambda f=form: args_for(f)
-            )
+            rows = context.view_rows(query, form, lambda f=form: rows_for(f))
         else:
-            all_args = args_for(form)
-        for args in all_args:
+            rows = rows_for(form)
+        for args, covered in rows:
             fire("enumeration")
             if context is not None:
                 context.charge_view_tuple()
-            tuples.append(ViewTuple(view, Atom(view.name, args)))
+            tuples.append(
+                ViewTuple(
+                    view,
+                    Atom(view.name, args),
+                    None if covered is None else (query, covered),
+                )
+            )
     return tuples
 

@@ -7,12 +7,14 @@ A :class:`PlannerContext` bundles
 * one :class:`~repro.containment.memo.ContainmentCache` (memoized
   minimization, canonical databases, containment, plus the
   homomorphism-search counter),
-* planner-level caches: tuple-cores keyed by
-  ``(query, view definition, view-tuple atom)`` and view-tuple rows keyed
-  by ``(query, view definition)`` — the two places the CoreCover stages
-  re-derive identical results when a catalog contains structurally
-  duplicate views (Section 5.2's motivation).  The view definition enters
-  as the :class:`~repro.engine.evaluate.DefinitionKey` its compiled form
+* planner-level caches: view-tuple rows keyed by ``(query, view
+  definition)``, each row with the tuple-core the join read off it when
+  the view has no existential variable, and searched tuple-cores keyed
+  by ``(query, view definition, view-tuple atom)`` for the views that
+  have one — the places the CoreCover stages re-derive identical results
+  when a catalog contains structurally duplicate views (Section 5.2's
+  motivation).  The view definition enters as the
+  :class:`~repro.engine.evaluate.DefinitionKey` its compiled form
   carries, so the context keeps no reference to any
   :class:`~repro.views.view.View`; and
 * instrumentation: per-cache hit/miss counters, per-stage wall times, and
@@ -36,7 +38,6 @@ from ..containment.memo import CacheCounter, ContainmentCache
 from ..datalog.interning import InternTable
 from ..datalog.query import ConjunctiveQuery
 from ..datalog.substitution import Substitution
-from ..datalog.terms import Term
 from ..engine.evaluate import SlotForm
 from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..containment.canonical import CanonicalDatabase
     from ..containment.join_guided import AcyclicRouter
     from ..core.tuple_core import QueryFrame, TupleCore
-    from ..core.view_tuples import ViewTuple
+    from ..core.view_tuples import ViewRows, ViewTuple
     from ..datalog.hypergraph import JoinTree
 
 __all__ = ["PlannerContext", "PlannerStats"]
@@ -132,7 +133,8 @@ class PlannerContext:
         self.interner = interner if interner is not None else InternTable()
         self.caching = caching
         self.containment = ContainmentCache(self.interner, caching=caching)
-        #: Number of tuple-core backtracking searches actually performed.
+        #: Number of tuple-core backtracking searches actually performed
+        #: (cores read off the view-tuple join are not searches).
         self.core_searches = 0
         #: Accumulated wall time per pipeline stage.
         self.stage_seconds: dict[str, float] = {}
@@ -143,8 +145,12 @@ class PlannerContext:
         #: Views whose Section 5.2 class a catalog already held (hits)
         #: or that grouping classified (misses).
         self.counters["view_class"] = CacheCounter()
+        #: ``(query, definition, tuple args)`` -> a searched core's
+        #: ``(covered, mapping)``: views with existential variables only.
         self._tuple_cores: dict[tuple, tuple[frozenset[int], Substitution]] = {}
-        self._view_rows: dict[tuple, tuple[tuple[Term, ...], ...]] = {}
+        #: ``(query, definition)`` -> the view's rows over the query's
+        #: canonical database, each with its join-read core or ``None``.
+        self._view_rows: dict[tuple, "ViewRows"] = {}
         #: Live budget meter; ``None`` means unbudgeted.  A budget given
         #: here anchors its deadline at construction; ``plan(budget=...)``
         #: instead installs a per-call meter via :meth:`budgeted`.
@@ -328,14 +334,16 @@ class PlannerContext:
         frame: "QueryFrame | None" = None,
         form: SlotForm | None = None,
     ) -> "TupleCore":
-        """Memoized tuple-core computation (Definition 4.1).
+        """Memoized tuple-core search (Definition 4.1).
 
         The core depends only on the query, the view's definition, and the
         view tuple's atom arguments — never on the view's *name* — so the
         cache key drops the name and structurally duplicate views hit.
         *frame* is *query*'s :class:`~repro.core.tuple_core.QueryFrame`
         and *form* the view's compiled form, whose key stands for the
-        definition; a search that misses reads both.
+        definition; a search that misses reads both.  CoreCover asks only
+        for tuples of views with existential variables: the others carry
+        the core :meth:`view_rows` read off the join.
         """
         from ..core.tuple_core import TupleCore, tuple_core as compute
 
@@ -370,18 +378,20 @@ class PlannerContext:
         return core
 
     # -- view-evaluation cache ---------------------------------------------------
-    def view_tuple_args(
+    def view_rows(
         self,
         query: ConjunctiveQuery,
         form: SlotForm,
-        compute: Callable[[], tuple[tuple[Term, ...], ...]],
-    ) -> tuple[tuple[Term, ...], ...]:
+        compute: Callable[[], "ViewRows"],
+    ) -> "ViewRows":
         """Memoized thawed answer rows of a view over *query*'s canonical DB.
 
         *form* is the view's compiled form.  ``compute`` must return the
-        sorted tuple of argument tuples; the cache key is (query, view
-        definition), so equally-defined views evaluated against the same
-        canonical database share one evaluation.
+        sorted rows, each an argument tuple with the covered subgoals the
+        join read off it (``None`` for a view with existential variables);
+        the cache key is (query, view definition), so equally-defined
+        views evaluated against the same canonical database share one
+        evaluation, and one entry holds a view's rows and cores together.
         """
         counter = self.counters["view_rows"]
         if not self.caching:

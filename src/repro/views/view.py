@@ -493,11 +493,10 @@ class ViewCatalog:
         self._views: dict[str, View] = {}
         #: ``(predicate, arity)`` -> view names, in registration order.
         self._index: dict[tuple[str, int], tuple[str, ...]] = {}
-        #: View name -> registration sequence (orders index hits).
+        #: View name -> registration slot (orders index hits): the
+        #: catalog version before the change that added it, plus its
+        #: position among that change's new names.  Never reused.
         self._order: dict[str, int] = {}
-        #: Next registration sequence number (never reused; it advances
-        #: with the version).
-        self._sequence = 0
         #: Monotone catalog version: +1 per view name a change touches.
         self._version = 0
         #: Per-view content hashes (name -> sha256 hex).
@@ -531,16 +530,23 @@ class ViewCatalog:
 
     # -- pickling and copying ------------------------------------------------
     def __getstate__(self) -> dict[str, Any]:
-        """Everything but the class memo and the compiled forms: a
-        pickled or copied catalog starts with neither, and no task
-        carries them."""
+        """Only what defines the version: the views, their index, order
+        and hashes, and the version number.
+
+        The class memo, the compiled forms and the lazily derived root,
+        blind names and comparison atoms stay out, so a pickled or
+        copied catalog starts with none of them, no task carries them,
+        and one version pickles to the same bytes whatever was read from
+        it before.
+        """
         state = self.__dict__.copy()
-        del state["_classes"]
-        del state["_forms"]
+        for name in _DERIVED:
+            del state[name]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self._root = self._blind = self._comparisons = None
         self._classes = ViewClassMemo()
         self._forms = ViewForms()
 
@@ -650,11 +656,12 @@ class ViewCatalog:
 
         A name in both is replaced in place: it keeps its registration
         slot and its index positions for pairs both definitions mention.
-        New names take the next sequence slots in *added* order and join
-        the end of their index tuples, so one change adding n views
-        equals n :meth:`add_view` calls.  The version and the sequence
-        advance by the number of names touched.  Published dicts are
-        copied, never edited: a ``copy.copy`` of the catalog shares them.
+        New names take the slots numbered on from the current version in
+        *added* order and join the end of their index tuples, so one
+        change adding n views equals n :meth:`add_view` calls.  The
+        version advances by the number of names touched, so no slot is
+        ever numbered twice.  Published dicts are copied, never edited: a
+        ``copy.copy`` of the catalog shares them.
         """
         views = dict(self._views)
         index = dict(self._index)
@@ -671,7 +678,7 @@ class ViewCatalog:
                     del index[pair]
             if name not in new:
                 del views[name], order[name], hashes[name]
-        slot = self._sequence
+        slot = self._version
         joined: dict[tuple[str, int], list[str]] = {}
         for view in added:
             name = view.name
@@ -691,7 +698,7 @@ class ViewCatalog:
             old_version=self._version,
             new_version=self._version + touched,
         )
-        return delta, (views, index, order, hashes, self._sequence + touched)
+        return delta, (views, index, order, hashes)
 
     def _install(self, delta: CatalogDelta, state: tuple) -> None:
         """Install a fully built successor *state* as *delta*'s version.
@@ -703,9 +710,7 @@ class ViewCatalog:
         lookup in between still misses, because a label or form only
         answers for the exact :class:`View` it was made for.
         """
-        self._views, self._index, self._order, self._hashes, self._sequence = (
-            state
-        )
+        self._views, self._index, self._order, self._hashes = state
         self._version = delta.new_version
         self._root = self._blind = self._comparisons = None
         self._classes.drop(view.name for view in delta.added + delta.removed)
@@ -840,6 +845,11 @@ class ViewCatalog:
             if predicate in wanted:
                 hits.update(names)
         return frozenset(hits)
+
+
+#: The attributes a :class:`ViewCatalog` derives from the rest, left out
+#: of its pickles and copies.
+_DERIVED = ("_classes", "_forms", "_root", "_blind", "_comparisons")
 
 
 def relational_pairs(query: ConjunctiveQuery) -> frozenset[tuple[str, int]]:

@@ -148,3 +148,50 @@ class TestSharedContextAcrossRuns:
         ):
             assert stage in stages
             assert stages[stage] >= 0.0
+
+
+class TestNoCyclicGarbage:
+    """A ``plan()`` call frees what it allocates by reference counting
+    alone: its recursive searches break their closures' self-references,
+    so the cyclic collector finds nothing after a call, cold or warm."""
+
+    @pytest.mark.parametrize(
+        "shape, nondistinguished, fast_path",
+        [
+            ("star", 0, True),
+            ("chain", 0, True),
+            ("chain", 0, False),
+            ("star", 1, True),
+        ],
+    )
+    def test_calls_leave_no_cycles(self, shape, nondistinguished, fast_path):
+        workload = generate_workload(
+            WorkloadConfig(
+                shape=shape,
+                num_relations=STAR_RELATIONS if shape == "star" else 40,
+                query_subgoals=6,
+                num_views=150,
+                nondistinguished=nondistinguished,
+                seed=SEED,
+            )
+        )
+        # A fresh catalog, so grouping runs its hom searches.
+        catalog = ViewCatalog(workload.views)
+        gc.collect()
+        gc.disable()
+        try:
+            for backend in ("corecover", "corecover-star"):
+                context = PlannerContext()
+                for call in ("cold", "warm"):
+                    result = plan(
+                        workload.query,
+                        catalog,
+                        backend=backend,
+                        context=context,
+                        acyclic_fast_path=fast_path,
+                    )
+                    assert gc.collect() == 0, (backend, call)
+                    if nondistinguished and call == "cold":
+                        assert result.details.stats.core_searches > 0
+        finally:
+            gc.enable()

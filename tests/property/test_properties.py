@@ -320,7 +320,121 @@ class TestCoreCoverSoundness:
             assert not clever.has_rewriting
 
 
+def _without(query, variable, image):
+    """*query* with *variable* replaced by *image* and left out of the head."""
+    body = query.apply(Substitution({variable: image})).body
+    head = Atom(
+        query.head.predicate,
+        tuple(arg for arg in query.head.args if arg != variable),
+    )
+    return ConjunctiveQuery(head, body)
+
+
+@st.composite
+def core_cases(draw):
+    """A generated workload with the cases a tuple-core must survive.
+
+    The query is not minimized: it repeats a subgoal and may hold a
+    constant or a comparison.  The catalog gains variants of its views
+    with a constant, a repeated variable, a duplicate body atom or a
+    comparison atom, and the query's own body as a view.
+    """
+    workload = generate_workload(
+        WorkloadConfig(
+            shape=draw(st.sampled_from(["star", "chain", "random"])),
+            num_relations=6,
+            query_subgoals=4,
+            num_views=8,
+            nondistinguished=draw(st.integers(min_value=0, max_value=1)),
+            seed=draw(st.integers(min_value=0, max_value=10_000)),
+            require_rewritable=False,
+        )
+    )
+    query = workload.query
+    if draw(st.booleans()):
+        variables = sorted(query.variables(), key=lambda v: v.name)
+        query = _without(query, draw(st.sampled_from(variables)), Constant("a"))
+    repeated = draw(st.integers(min_value=0, max_value=len(query.body) - 1))
+    query = query.with_body(query.body + (query.body[repeated],))
+    variables = sorted(query.variables(), key=lambda v: v.name)
+    if draw(st.booleans()):
+        pair = (draw(st.sampled_from(variables)), draw(st.sampled_from(variables)))
+        query = query.with_body(query.body + (Atom("!=", pair),))
+    views = list(workload.views)
+    variants = [ConjunctiveQuery(Atom("own", tuple(variables)), query.body)]
+    for number, view in enumerate(draw(st.lists(st.sampled_from(views), max_size=6))):
+        definition = view.definition
+        variables = sorted(definition.variables(), key=lambda v: v.name)
+        first = draw(st.sampled_from(variables))
+        second = draw(st.sampled_from(variables))
+        kind = draw(
+            st.sampled_from(["constant", "repeat", "duplicate", "comparison"])
+        )
+        if kind == "constant":
+            definition = _without(definition, first, Constant("a"))
+        elif kind == "repeat" and first != second:
+            definition = _without(definition, second, first)
+        elif kind == "duplicate":
+            definition = definition.with_body(
+                definition.body + (definition.body[0],)
+            )
+        else:
+            comparison = draw(st.sampled_from(["=", "!="]))
+            definition = definition.with_body(
+                definition.body + (Atom(comparison, (first, second)),)
+            )
+        head = Atom(f"x{number}", definition.head.args)
+        variants.append(ConjunctiveQuery(head, definition.body))
+    return query, ViewCatalog(views + variants)
+
+
+def _assert_searched_cores(query, tuples, cores):
+    """Each core is ``_CoreSearch``'s on the bare view tuple, and a
+    maximum one among ``enumerate_consistent_cores``' maximal sets."""
+    from repro.core import ViewTuple, enumerate_consistent_cores
+    from repro.core.tuple_core import _CoreSearch
+
+    assert len(cores) == len(tuples)
+    for view_tuple, core in zip(tuples, cores):
+        bare = ViewTuple(view_tuple.view, view_tuple.atom)
+        searched = _CoreSearch(query, bare).run()
+        assert core.covered == searched.covered, str(view_tuple)
+        assert core.mapping == searched.mapping, str(view_tuple)
+        maximal = enumerate_consistent_cores(query, bare)
+        assert core.covered in maximal, (str(view_tuple), maximal)
+        assert len(core.covered) == max(map(len, maximal))
+
+
 class TestTupleCoreInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(core_cases())
+    def test_cores_read_off_the_join_equal_the_search(self, case):
+        """The view-tuple join reads the cores of views without
+        existential variables; each must be the search's.  CoreCover
+        rejects comparison atoms, so it runs on the other views."""
+        query, catalog = case
+        plain = ViewCatalog(
+            view
+            for view in catalog
+            if not any(atom.is_comparison for atom in view.definition.body)
+        )
+        relational = query.with_body(
+            atom for atom in query.body if not atom.is_comparison
+        )
+        for caching in (True, False):
+            context = PlannerContext(caching=caching)
+            tuples = view_tuples(query, catalog, context=context)
+            cores = tuple_cores(
+                query, tuples, context=context, forms=catalog.view_forms
+            )
+            _assert_searched_cores(query, tuples, cores)
+            result = core_cover(
+                relational, plain, context=PlannerContext(caching=caching)
+            )
+            _assert_searched_cores(
+                result.minimized_query, result.view_tuples, result.cores
+            )
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_closure_property_holds(self, seed):

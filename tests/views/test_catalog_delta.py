@@ -8,6 +8,7 @@ identically to a from-scratch rebuild, and a fault injected mid-delta
 consistent version with no torn index.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -158,6 +159,34 @@ class TestLazyRoot:
         assert calls == [200]
         assert catalog.content_root() != root
         assert calls == [200, 201]
+
+
+class TestPickledBytes:
+    def test_one_version_pickles_to_one_digest(self):
+        """Reads fill only derived caches, which stay out of the pickle:
+        the plan-star catalog (seed 3) pickles to one digest fresh,
+        after planning on it and after its root is read."""
+        from repro.planner import plan
+        from repro.workload import WorkloadConfig, generate_workload, star_query
+
+        workload = generate_workload(
+            WorkloadConfig(shape="star", num_relations=13, num_views=1000, seed=3)
+        )
+        catalog = ViewCatalog(workload.views)
+
+        def digest():
+            return hashlib.sha256(pickle.dumps(catalog)).hexdigest()
+
+        fresh = digest()
+        for start in range(5):
+            query = star_query([(start + i) % 13 for i in range(8)])
+            plan(query, catalog, backend="corecover", cost_model="m1")
+        planned = digest()
+        catalog.content_root()
+        assert (fresh, planned, digest()) == (fresh, fresh, fresh)
+        assert pickle.loads(pickle.dumps(catalog)).content_root() == (
+            catalog.content_root()
+        )
 
 
 class TestChaosSafety:
