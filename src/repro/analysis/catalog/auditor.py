@@ -194,14 +194,17 @@ class CatalogAuditor:
         analyzed = reused = 0
         with context.stage("audit"):
             for view in catalog:
-                neighbors = catalog.index_neighbors(view.name)
+                name = view.name
+                position = order[name]
+                # The key is built from names alone: only a unit that is
+                # recomputed needs its neighbors as views.
+                neighbors = catalog.index_neighbors(name)
                 neighbor_sig = tuple(
-                    (n.name, hashes[n.name], order[n.name] < order[view.name])
-                    for n in neighbors
+                    (n, hashes[n], order[n] < position) for n in neighbors
                 )
                 key: _UnitKey = (
-                    view.name,
-                    hashes[view.name],
+                    name,
+                    hashes[name],
                     neighbor_sig,
                     rules_key,
                     schema_key,
@@ -210,21 +213,17 @@ class CatalogAuditor:
                 if cached is None:
                     inputs = CatalogAuditInput(
                         view=view,
-                        neighbors=neighbors,
+                        neighbors=tuple(catalog.get(n) for n in neighbors),
                         catalog=catalog,
                         context=context,
                         hashes=hashes,
                         older=frozenset(
-                            n.name
-                            for n in neighbors
-                            if order[n.name] < order[view.name]
+                            n for n, _, older in neighbor_sig if older
                         ),
                         schema=schema,
                         view_spans=view_spans,
                     )
-                    cached = _run_rules(
-                        view_rules, inputs, f"view:{view.name}"
-                    )
+                    cached = _run_rules(view_rules, inputs, f"view:{name}")
                     analyzed += 1
                 else:
                     reused += 1

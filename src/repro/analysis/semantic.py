@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..datalog.atoms import Atom
+from ..core.equivalence import neutral_definition as _marker_definition
 from ..datalog.query import ConjunctiveQuery
 from .diagnostics import Diagnostic, Severity
 from .inputs import AnalysisInput
@@ -32,21 +32,8 @@ __all__ = [
     "RULE_REDUNDANT_VIEW",
 ]
 
-#: Head predicate used to compare view *definitions* name-independently,
-#: mirroring the ``DefinitionKey`` a view's compiled form carries.
-_VIEWDEF_MARKER = "__viewdef__"
-
-
 def _has_comparisons(rule: ConjunctiveQuery) -> bool:
     return any(atom.is_comparison for atom in rule.body)
-
-
-def _marker_definition(view) -> ConjunctiveQuery:
-    """The view's definition with its head renamed to a common marker."""
-    definition = view.definition
-    return ConjunctiveQuery(
-        Atom(_VIEWDEF_MARKER, definition.head.args), definition.body
-    )
 
 
 # -- R101: containment-equivalent (redundant) views --------------------------
@@ -54,28 +41,29 @@ def _marker_definition(view) -> ConjunctiveQuery:
 
 def _check_redundant_views(inputs: AnalysisInput) -> Iterator[Diagnostic]:
     context = inputs.context
-    comparable = [
-        view for view in inputs.views if not _has_comparisons(view.definition)
-    ]
-    # Signature pre-partition (Section 5.2): only structurally compatible
-    # definitions can be equivalent, so the quadratic pass stays small.
+    # Signature pre-partition (Section 5.2): equivalent *minimized*
+    # definitions share a signature, so only views in one bucket are
+    # compared.  The minimizations and tests are the planner's grouping
+    # ones, so a plan() on the same context reuses them.
     groups: dict[tuple, list] = {}
-    for view in comparable:
-        marker = _marker_definition(view)
-        groups.setdefault(marker.signature(), []).append((view, marker))
+    for view in inputs.views:
+        if _has_comparisons(view.definition):
+            continue
+        minimized = context.minimize(_marker_definition(view))
+        groups.setdefault(minimized.signature(), []).append((view, minimized))
     for candidates in groups.values():
         representatives: list[tuple] = []
-        for view, marker in candidates:
+        for view, minimized in candidates:
             twin = next(
                 (
                     kept_view
-                    for kept_view, kept_marker in representatives
-                    if context.is_equivalent_to(marker, kept_marker)
+                    for kept_view, kept in representatives
+                    if context.is_equivalent_to(minimized, kept)
                 ),
                 None,
             )
             if twin is None:
-                representatives.append((view, marker))
+                representatives.append((view, minimized))
                 continue
             yield RULE_REDUNDANT_VIEW.diagnostic(
                 f"view {view.name!r} is containment-equivalent to view "

@@ -25,13 +25,10 @@ from .homomorphism import (
     observe_searches,
     unify_atom,
 )
-from .memo import CacheCounter, ContainmentCache
 from .minimize import core_size, is_minimal, minimize
 
 __all__ = [
-    "CacheCounter",
     "CanonicalDatabase",
-    "ContainmentCache",
     "FrozenMarker",
     "IncompatibleQueriesError",
     "canonical_database",

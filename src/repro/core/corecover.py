@@ -78,11 +78,6 @@ class CoreCoverStats:
     maximal_tuple_classes: int
     nonempty_cores: int
     elapsed_seconds: float
-    minimize_seconds: float
-    grouping_seconds: float
-    view_tuple_seconds: float
-    core_seconds: float
-    cover_seconds: float
     #: Views surviving the predicate-signature prune — the only ones the
     #: grouping and view-tuple stages ever enumerated.  Equals
     #: ``total_views`` when pruning is disabled (``prune_views=False``);
@@ -233,17 +228,14 @@ def core_cover_impl(
     _reject_comparisons(query, views)
 
     # Step (1): minimize the query.
-    t0 = time.perf_counter()
     with ctx.stage("minimize"):
         minimized = ctx.minimize(query)
-    minimize_seconds = time.perf_counter() - t0
 
     # Predicate-signature pruning: a view sharing no (predicate, arity)
     # pair with the minimized query has no answer over its canonical
     # database — no view tuple, no core, no place in any rewriting
     # (Section 3.3) — so neither the grouping hom searches nor the
     # view-tuple evaluation need ever touch it.
-    t0 = time.perf_counter()
     with ctx.stage("grouping"):
         if group_views and prune_views and isinstance(views, ViewCatalog):
             # Section 5.2: group the relevant views into equivalence
@@ -281,7 +273,6 @@ def core_cover_impl(
         representatives = [members[0] for members in classes]
         view_classes = len(classes)
         touched_views = sum(map(len, classes))
-    grouping_seconds = time.perf_counter() - t0
 
     # Each view's compiled form depends on its definition alone, so a
     # catalog keeps the forms across calls, as it keeps the classes; a
@@ -294,22 +285,17 @@ def core_cover_impl(
 
     # Step (2): view tuples over the canonical database.  The canonical-DB
     # construction is timed as its own stage so phase profiles can show
-    # freezing separately from the (usually dominant) tuple enumeration;
-    # ``view_tuple_seconds`` keeps covering both, as it always has.
-    t0 = time.perf_counter()
+    # freezing separately from the (usually dominant) tuple enumeration.
     with ctx.stage("canonical_db"):
         canonical = ctx.canonical_database(minimized)
     with ctx.stage("view_tuples"):
         tuples = view_tuples(
             minimized, representatives, canonical, context=ctx, forms=forms
         )
-    view_tuple_seconds = time.perf_counter() - t0
 
     # Step (3): tuple-cores.
-    t0 = time.perf_counter()
     with ctx.stage("tuple_cores"):
         cores = tuple_cores(minimized, tuples, context=ctx, forms=forms)
-    core_seconds = time.perf_counter() - t0
 
     # Section 5.2 again: group view tuples by coverage.
     coverage = group_cores_by_coverage(cores)
@@ -331,7 +317,6 @@ def core_cover_impl(
     pivot_order = tree.traversal() if tree is not None else None
 
     # Step (4): cover the query subgoals.
-    t0 = time.perf_counter()
     with ctx.stage("cover"):
         ctx.checkpoint()
         universe = frozenset(range(len(minimized.body)))
@@ -379,7 +364,6 @@ def core_cover_impl(
             )
             for rewriting in rewritings:
                 ctx.record_rewriting(rewriting, certified=True)
-    cover_seconds = time.perf_counter() - t0
 
     delta = ctx.snapshot().since(before)
     stats = CoreCoverStats(
@@ -391,11 +375,6 @@ def core_cover_impl(
         maximal_tuple_classes=maximal_tuple_classes,
         nonempty_cores=len(nonempty),
         elapsed_seconds=time.perf_counter() - started,
-        minimize_seconds=minimize_seconds,
-        grouping_seconds=grouping_seconds,
-        view_tuple_seconds=view_tuple_seconds,
-        core_seconds=core_seconds,
-        cover_seconds=cover_seconds,
         caching_enabled=delta.caching_enabled,
         hom_searches=delta.hom_searches,
         core_searches=delta.core_searches,

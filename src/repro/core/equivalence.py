@@ -25,11 +25,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ..containment.containment import is_equivalent_to
-from ..containment.memo import CacheCounter
 from ..containment.minimize import minimize
 from ..datalog.atoms import interned_atom
 from ..datalog.query import ConjunctiveQuery
-from ..planner.context import PlannerContext
+from ..planner.context import CacheCounter, PlannerContext
 from ..views.view import View, ViewCatalog, ViewClassMemo
 from .tuple_core import TupleCore
 
@@ -37,7 +36,12 @@ from .tuple_core import TupleCore
 _NEUTRAL_HEAD = "__view_cmp__"
 
 
-def _neutral_definition(view: View) -> ConjunctiveQuery:
+def neutral_definition(view: View) -> ConjunctiveQuery:
+    """*view*'s definition under a head predicate shared by every view.
+
+    Grouping and the lint and audit rules compare definitions through
+    it, so they ask a shared context the same questions.
+    """
     # The interned head is one object per head-argument tuple, so a
     # context's interner keys it by identity on every later call.
     definition = view.definition
@@ -94,7 +98,7 @@ def group_equivalent_views(
     )
 
     def minimized(view: View) -> ConjunctiveQuery:
-        return minimize_fn(_neutral_definition(view))
+        return minimize_fn(neutral_definition(view))
 
     if relevant_to is not None:
         if memo is views.class_memo:

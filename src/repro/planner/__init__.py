@@ -5,8 +5,8 @@ followed by a *cost-based optimizer* — is realized here as one pipeline:
 
 * :class:`~repro.planner.context.PlannerContext` is the shared planning
   substrate threaded through every stage: structural interning
-  (:mod:`repro.datalog.interning`), memoized containment
-  (:mod:`repro.containment.memo`), tuple-core and view-evaluation caches,
+  (:mod:`repro.datalog.interning`), memoized minimization, containment,
+  join trees, view evaluation and tuple-cores behind one lookup path,
   per-stage wall times, and homomorphism-search counters.
 * :mod:`repro.planner.registry` exposes every rewriting algorithm —
   CoreCover, CoreCover*, the naive Theorem 3.1 search, Bucket, MiniCon,

@@ -4,24 +4,36 @@ A :class:`PlannerContext` bundles
 
 * one :class:`~repro.datalog.interning.InternTable` (cheap structural
   keys for atoms and queries),
-* one :class:`~repro.containment.memo.ContainmentCache` (memoized
-  minimization, canonical databases, containment, plus the
-  homomorphism-search counter),
-* planner-level caches: view-tuple rows keyed by ``(query, view
-  definition)``, each row with the tuple-core the join read off it when
-  the view has no existential variable, and searched tuple-cores keyed
-  by ``(query, view definition, view-tuple atom)`` for the views that
-  have one — the places the CoreCover stages re-derive identical results
-  when a catalog contains structurally duplicate views (Section 5.2's
-  motivation).  The view definition enters as the
-  :class:`~repro.engine.evaluate.DefinitionKey` its compiled form
-  carries, so the context keeps no reference to any
-  :class:`~repro.views.view.View`; and
-* instrumentation: per-cache hit/miss counters, per-stage wall times, and
-  search counts, snapshotted into an immutable :class:`PlannerStats`.
+* seven memos, all read and filled through one lookup path:
+
+  - minimization, canonical databases, containment and
+    containment-mapping existence: every stage — view-equivalence
+    grouping, view tuples, tuple-cores, the M2/M3 optimizer's rewriting
+    checks — bottoms out in these Chandra-Merlin homomorphism searches;
+  - ear-elimination join trees, for the acyclic routing;
+  - view-tuple rows keyed by ``(query, view definition)``, each row with
+    the tuple-core the join read off it when the view has no existential
+    variable, and searched tuple-cores keyed by ``(query, view
+    definition, view-tuple atom)`` for the views that have one — the
+    places the CoreCover stages re-derive identical results when a
+    catalog contains structurally duplicate views (Section 5.2's
+    motivation).  The view definition enters as the
+    :class:`~repro.engine.evaluate.DefinitionKey` its compiled form
+    carries, so the context keeps no reference to any
+    :class:`~repro.views.view.View`; and
+
+* instrumentation: per-memo hit/miss counters, per-stage wall times, and
+  the homomorphism searches actually run (counted through
+  :func:`repro.containment.homomorphism.observe_searches`), snapshotted
+  into an immutable :class:`PlannerStats`.
+
+Memo keys are purely structural, so two queries share a key only when
+they are equal atom-for-atom: a memoized answer is always the answer the
+underlying function would have computed, and renamed-but-equivalent
+queries get distinct keys (a miss, never a wrong hit).
 
 Every algorithm accepts an optional ``context``; passing one shares the
-caches across calls (e.g. across the 40 queries of a Figure 6 sweep
+memos across calls (e.g. across the 40 queries of a Figure 6 sweep
 point), omitting it gives each call a private context.  Construct with
 ``caching=False`` to keep the counters but disable all memoization — the
 property tests use this to check cached and uncached runs agree.
@@ -32,23 +44,45 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, TypeVar
 
-from ..containment.memo import CacheCounter, ContainmentCache
+from ..containment.canonical import CanonicalDatabase, canonical_database
+from ..containment.containment import containment_mapping, is_contained_in
+from ..containment.homomorphism import cancellation_scope, observe_searches
+from ..containment.minimize import minimize
 from ..datalog.interning import InternTable
 from ..datalog.query import ConjunctiveQuery
-from ..datalog.substitution import Substitution
 from ..engine.evaluate import SlotForm
+from ..testing.faults import fire
 from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..containment.canonical import CanonicalDatabase
     from ..containment.join_guided import AcyclicRouter
     from ..core.tuple_core import QueryFrame, TupleCore
     from ..core.view_tuples import ViewRows, ViewTuple
     from ..datalog.hypergraph import JoinTree
+    from ..datalog.substitution import Substitution
 
-__all__ = ["PlannerContext", "PlannerStats"]
+__all__ = ["CacheCounter", "PlannerContext", "PlannerStats"]
+
+T = TypeVar("T")
+
+#: The memos, by the name their lookups and counters go under.
+_MEMOS = (
+    "minimize", "canonical", "containment", "mapping",
+    "join_tree", "view_rows", "tuple_core",
+)
+
+#: A memo miss (a stored value may be ``None``: a cyclic join tree).
+_MISSING = object()
+
+
+@dataclass
+class CacheCounter:
+    """Hit/miss counters for one memo."""
+
+    hits: int = 0
+    misses: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +103,7 @@ class PlannerStats:
     #: ``(stage name, seconds)`` per stage, in first-seen order.
     stages: tuple[tuple[str, float], ...]
     #: Work units expanded by homomorphism searches (see
-    #: :meth:`ContainmentCache.record_nodes`).
+    #: :meth:`PlannerContext.record_nodes`).
     hom_nodes: int = 0
     #: Searches routed through the acyclic join-tree-guided engine.
     fast_path_searches: int = 0
@@ -132,32 +166,38 @@ class PlannerContext:
     ) -> None:
         self.interner = interner if interner is not None else InternTable()
         self.caching = caching
-        self.containment = ContainmentCache(self.interner, caching=caching)
+        #: Number of homomorphism searches actually performed.
+        self.hom_searches = 0
+        #: Work units (backtracking entries + candidate unifications +
+        #: semijoin tests) expanded by those searches.
+        self.hom_nodes = 0
+        #: Searches routed through the acyclic join-tree-guided engine.
+        self.fast_path_searches = 0
         #: Number of tuple-core backtracking searches actually performed
         #: (cores read off the view-tuple join are not searches).
         self.core_searches = 0
         #: Accumulated wall time per pipeline stage.
         self.stage_seconds: dict[str, float] = {}
-        self.counters: dict[str, CacheCounter] = self.containment.counters
-        self.counters["tuple_core"] = CacheCounter()
-        self.counters["view_rows"] = CacheCounter()
-        self.counters["join_tree"] = CacheCounter()
-        #: Views whose Section 5.2 class a catalog already held (hits)
-        #: or that grouping classified (misses).
-        self.counters["view_class"] = CacheCounter()
-        #: ``(query, definition, tuple args)`` -> a searched core's
-        #: ``(covered, mapping)``: views with existential variables only.
-        self._tuple_cores: dict[tuple, tuple[frozenset[int], Substitution]] = {}
-        #: ``(query, definition)`` -> the view's rows over the query's
-        #: canonical database, each with its join-read core or ``None``.
-        self._view_rows: dict[tuple, "ViewRows"] = {}
+        #: One counter per memo, plus ``view_class``: views whose Section
+        #: 5.2 class a catalog already held (hits) or that grouping
+        #: classified (misses).
+        self.counters: dict[str, CacheCounter] = {
+            name: CacheCounter() for name in (*_MEMOS, "view_class")
+        }
+        #: Memo name -> structural key -> stored value.  The
+        #: ``tuple_core`` memo stores a searched core's ``(covered,
+        #: mapping)`` (views with existential variables only); the
+        #: ``view_rows`` memo a view's rows over the query's canonical
+        #: database, each with its join-read core or ``None``.
+        self._memos: dict[str, dict] = {name: {} for name in _MEMOS}
         #: Live budget meter; ``None`` means unbudgeted.  A budget given
         #: here anchors its deadline at construction; ``plan(budget=...)``
-        #: instead installs a per-call meter via :meth:`budgeted`.
+        #: instead installs a per-call meter via :meth:`budgeted`.  Each
+        #: recorded search is charged against it, and its ``checkpoint``
+        #: is installed as the backtracking cancellation hook.
         self.meter: BudgetMeter | None = (
             budget.start() if budget is not None else None
         )
-        self.containment.meter = self.meter
         #: Anytime-rewriting collector; active only inside a ``plan()``
         #: call (see :meth:`collecting`).
         self._partials: list[AnytimeRewriting] | None = None
@@ -165,7 +205,6 @@ class PlannerContext:
         #: routing via :meth:`routed_acyclic`); stages read it to report
         #: the routing decision in their stats.
         self.acyclic_route: bool = False
-        self._join_trees: dict[tuple, "JoinTree | None"] = {}
         self._acyclic_router: "AcyclicRouter | None" = None
 
     # -- resource budgets -------------------------------------------------------
@@ -195,12 +234,10 @@ class PlannerContext:
         meter = budget.start()
         previous = self.meter
         self.meter = meter
-        self.containment.meter = meter
         try:
             yield meter
         finally:
             self.meter = previous
-            self.containment.meter = previous
 
     @contextmanager
     def collecting(self) -> Iterator[list[AnytimeRewriting]]:
@@ -230,75 +267,128 @@ class PlannerContext:
         if self._partials is not None:
             self._partials.append(AnytimeRewriting(rewriting, certified))
 
-    # -- delegated containment operations -------------------------------------
-    def minimize(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
-        """Memoized query minimization."""
-        return self.containment.minimize(query)
+    # -- search accounting ------------------------------------------------------
+    def record_search(self) -> None:
+        """Observer callback: one homomorphism search was started.
 
-    def canonical_database(self, query: ConjunctiveQuery) -> "CanonicalDatabase":
-        """Memoized canonical (frozen) database."""
-        return self.containment.canonical_database(query)
+        With a budget meter attached the search is also charged against
+        ``max_hom_searches`` (and the deadline re-checked), which is the
+        cooperative-cancellation point for search-heavy stages.
+        """
+        self.hom_searches += 1
+        if self.meter is not None:
+            self.meter.charge_hom_search()
+
+    def record_nodes(self, nodes: int) -> None:
+        """Observer callback: a finished search expanded *nodes* work units."""
+        self.hom_nodes += nodes
+
+    def record_fast_path_search(self) -> None:
+        """Observer callback: a search ran on the acyclic fast path."""
+        self.fast_path_searches += 1
+
+    # -- the memo lookup --------------------------------------------------------
+    def _lookup(self, name: str, key: Hashable, compute: Callable[[], T]) -> T:
+        """The memo *name*'s value for *key*, computed on a miss.
+
+        Every memo goes through here: a hit or a miss is counted on
+        ``counters[name]``, and under ``caching=False`` every lookup
+        misses and nothing is stored.  A ``compute()`` that raises (an
+        exhausted budget) stores nothing, so a memo never holds a partial
+        result.
+        """
+        counter = self.counters[name]
+        if not self.caching:
+            counter.misses += 1
+            return compute()
+        memo = self._memos[name]
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
+            counter.hits += 1
+            return value
+        counter.misses += 1
+        value = memo[key] = compute()
+        return value
+
+    def _memoized(self, name: str, key: Hashable, compute: Callable[[], T]) -> T:
+        """:meth:`_lookup` for a containment memo, whose misses search.
+
+        Fires the ``cache_lookup`` fault point, attributes the miss's
+        homomorphism searches to this context, and lets the budget meter
+        cancel them.
+        """
+        fire("cache_lookup")
+
+        def search() -> T:
+            with observe_searches(self):
+                meter = self.meter
+                if meter is None:
+                    return compute()
+                with cancellation_scope(meter.checkpoint):
+                    return compute()
+
+        return self._lookup(name, key, search)
+
+    # -- memoized containment operations -----------------------------------------
+    def minimize(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
+        """Memoized :func:`repro.containment.minimize.minimize`."""
+        return self._memoized(
+            "minimize", self.interner.query_key(query), lambda: minimize(query)
+        )
+
+    def canonical_database(self, query: ConjunctiveQuery) -> CanonicalDatabase:
+        """Memoized :func:`repro.containment.canonical.canonical_database`."""
+        return self._memoized(
+            "canonical",
+            self.interner.query_key(query),
+            lambda: canonical_database(query),
+        )
 
     def is_contained_in(
         self, inner: ConjunctiveQuery, outer: ConjunctiveQuery
     ) -> bool:
-        """Memoized Chandra-Merlin containment test."""
-        return self.containment.is_contained_in(inner, outer)
+        """Memoized ``inner ⊑ outer`` (comparison atoms still rejected)."""
+        key = (self.interner.query_key(inner), self.interner.query_key(outer))
+        return self._memoized(
+            "containment", key, lambda: is_contained_in(inner, outer)
+        )
 
     def is_equivalent_to(
         self, left: ConjunctiveQuery, right: ConjunctiveQuery
     ) -> bool:
-        """Memoized equivalence (two cached containment tests)."""
-        return self.containment.is_equivalent_to(left, right)
+        """Equivalence via two (independently memoized) containment tests."""
+        return self.is_contained_in(left, right) and self.is_contained_in(
+            right, left
+        )
 
     def mapping_exists(
         self, outer: ConjunctiveQuery, inner: ConjunctiveQuery
     ) -> bool:
-        """Memoized containment-mapping existence (no comparison check)."""
-        return self.containment.mapping_exists(outer, inner)
+        """Memoized "some containment mapping from *outer* to *inner* exists".
 
-    def observing(self):
-        """Attribute homomorphism searches in the block to this context."""
-        return self.containment.observing()
-
-    @property
-    def hom_searches(self) -> int:
-        """Homomorphism searches performed under this context."""
-        return self.containment.hom_searches
-
-    @property
-    def hom_nodes(self) -> int:
-        """Search work units expanded under this context."""
-        return self.containment.hom_nodes
-
-    @property
-    def fast_path_searches(self) -> int:
-        """Searches routed through the acyclic fast path."""
-        return self.containment.fast_path_searches
+        Unlike :meth:`is_contained_in` this never rejects comparison
+        atoms, matching the raw :func:`containment_mapping` behaviour the
+        naive search and Lemma 3.2 transformation rely on.
+        """
+        key = (self.interner.query_key(outer), self.interner.query_key(inner))
+        return self._memoized(
+            "mapping",
+            key,
+            lambda: containment_mapping(outer, inner) is not None,
+        )
 
     # -- acyclic routing --------------------------------------------------------
     def join_tree(self, query: ConjunctiveQuery) -> "JoinTree | None":
         """Memoized ear-elimination join tree (``None`` when cyclic).
 
-        Keyed on the interned query, like every other planner cache, so
+        Keyed on the interned query, like every other planner memo, so
         a shared context pays for ear elimination once per structure.
         """
-        from ..datalog.hypergraph import join_tree as compute
+        from ..datalog.hypergraph import join_tree
 
-        counter = self.counters["join_tree"]
-        if not self.caching:
-            counter.misses += 1
-            return compute(query)
-        key = self.interner.query_key(query)
-        try:
-            tree = self._join_trees[key]
-        except KeyError:
-            counter.misses += 1
-            tree = compute(query)
-            self._join_trees[key] = tree
-        else:
-            counter.hits += 1
-        return tree
+        return self._lookup(
+            "join_tree", self.interner.query_key(query), lambda: join_tree(query)
+        )
 
     def acyclic_router(self) -> "AcyclicRouter":
         """This context's (lazily built) acyclic-search router."""
@@ -326,7 +416,7 @@ class PlannerContext:
         finally:
             self.acyclic_route = previous
 
-    # -- tuple-core cache -------------------------------------------------------
+    # -- tuple-core memo ----------------------------------------------------------
     def tuple_core(
         self,
         query: ConjunctiveQuery,
@@ -338,46 +428,33 @@ class PlannerContext:
 
         The core depends only on the query, the view's definition, and the
         view tuple's atom arguments — never on the view's *name* — so the
-        cache key drops the name and structurally duplicate views hit.
+        memo key drops the name and structurally duplicate views hit.
         *frame* is *query*'s :class:`~repro.core.tuple_core.QueryFrame`
         and *form* the view's compiled form, whose key stands for the
         definition; a search that misses reads both.  CoreCover asks only
         for tuples of views with existential variables: the others carry
         the core :meth:`view_rows` read off the join.
         """
-        from ..core.tuple_core import TupleCore, tuple_core as compute
+        from ..core.tuple_core import TupleCore, tuple_core
 
         if form is None:
             form = SlotForm(view_tuple.view.definition)
         checkpoint = self.meter.checkpoint if self.meter is not None else None
-        counter = self.counters["tuple_core"]
-        if not self.caching:
-            counter.misses += 1
+
+        def search() -> tuple[frozenset[int], "Substitution"]:
             self.core_searches += 1
-            return compute(
+            core = tuple_core(
                 query, view_tuple, checkpoint=checkpoint, frame=frame, form=form
             )
+            return core.covered, core.mapping
+
         # The tuple's arguments key it as they are: interning a wrapper
         # atom built per lookup would pin one new atom per call.
-        key = (
-            self.interner.query_key(query),
-            form.key,
-            view_tuple.atom.args,
-        )
-        cached = self._tuple_cores.get(key)
-        if cached is not None:
-            counter.hits += 1
-            covered, mapping = cached
-            return TupleCore(view_tuple, covered, mapping)
-        counter.misses += 1
-        self.core_searches += 1
-        core = compute(
-            query, view_tuple, checkpoint=checkpoint, frame=frame, form=form
-        )
-        self._tuple_cores[key] = (core.covered, core.mapping)
-        return core
+        key = (self.interner.query_key(query), form.key, view_tuple.atom.args)
+        covered, mapping = self._lookup("tuple_core", key, search)
+        return TupleCore(view_tuple, covered, mapping)
 
-    # -- view-evaluation cache ---------------------------------------------------
+    # -- view-evaluation memo ------------------------------------------------------
     def view_rows(
         self,
         query: ConjunctiveQuery,
@@ -389,23 +466,12 @@ class PlannerContext:
         *form* is the view's compiled form.  ``compute`` must return the
         sorted rows, each an argument tuple with the covered subgoals the
         join read off it (``None`` for a view with existential variables);
-        the cache key is (query, view definition), so equally-defined
+        the memo key is (query, view definition), so equally-defined
         views evaluated against the same canonical database share one
         evaluation, and one entry holds a view's rows and cores together.
         """
-        counter = self.counters["view_rows"]
-        if not self.caching:
-            counter.misses += 1
-            return compute()
         key = (self.interner.query_key(query), form.key)
-        cached = self._view_rows.get(key)
-        if cached is not None:
-            counter.hits += 1
-            return cached
-        counter.misses += 1
-        rows = compute()
-        self._view_rows[key] = rows
-        return rows
+        return self._lookup("view_rows", key, compute)
 
     # -- stage timing --------------------------------------------------------------
     @contextmanager

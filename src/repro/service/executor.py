@@ -164,9 +164,6 @@ class ExecutionOutcome:
     elapsed_seconds: float = 0.0
     #: The terminal error (``failed`` status only).
     error: BaseException | None = None
-    #: Planner-stats delta of the serving attempt (observability only;
-    #: never rendered into the default JSON shape).
-    planner_stats: "PlannerStats | None" = None
     #: Phase-level profile payload; present only under ``--profile`` and
     #: then included in :meth:`to_json`.
     profile: Mapping | None = None
@@ -375,7 +372,6 @@ class ResilientExecutor:
                     breakers=self.breaker_states(),
                     failures=tuple(failures),
                     elapsed_seconds=self._clock() - started,
-                    planner_stats=attempted.stats,
                     profile=self._profile_payload(request, attempted.stats),
                 )
             if attempted.failure is not None:
@@ -431,7 +427,6 @@ class ResilientExecutor:
             failures=tuple(failures),
             elapsed_seconds=self._clock() - started,
             error=error,
-            planner_stats=last_stats,
             profile=self._profile_payload(request, last_stats),
         )
 

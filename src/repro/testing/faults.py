@@ -15,7 +15,7 @@ point              fired from
 =================  ==========================================================
 ``hom_search``     :func:`repro.containment.homomorphism.find_homomorphisms`,
                    once per backtracking search started
-``cache_lookup``   :meth:`repro.containment.memo.ContainmentCache._memoized`,
+``cache_lookup``   :meth:`repro.planner.context.PlannerContext._memoized`,
                    once per memoized containment/minimization operation
 ``enumeration``    :func:`repro.core.view_tuples.view_tuples` (per view
                    tuple) and the :mod:`repro.core.set_cover` searches
@@ -110,7 +110,7 @@ _POINT_DESCRIPTIONS: dict[str, str] = {
         "containment homomorphism backtracking, once per search started"
     ),
     "cache_lookup": (
-        "memoized containment/minimization operations in ContainmentCache"
+        "memoized containment/minimization operations in PlannerContext"
     ),
     "enumeration": (
         "view-tuple enumeration (per tuple) and set-cover search "

@@ -70,7 +70,7 @@ from ..errors import DuplicateViewError, UnknownViewError
 from ..testing.faults import fire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..containment.memo import CacheCounter
+    from ..planner.context import CacheCounter
 
 
 @dataclass(frozen=True)
@@ -774,6 +774,10 @@ class ViewCatalog:
         predicate signature (comparison-only bodies) are **always**
         included: the index cannot prove them irrelevant.
         """
+        return tuple(self._views[name] for name in self._names_for(pairs))
+
+    def _names_for(self, pairs: Iterable[tuple[str, int]]) -> list[str]:
+        """Names of :meth:`views_for_predicates`, registration order."""
         hits: set[str] = set()
         for pair in pairs:
             hits.update(self._index.get(pair, ()))
@@ -784,10 +788,7 @@ class ViewCatalog:
                 if not view.predicate_signature()
             )
         hits.update(self._blind)
-        return tuple(
-            self._views[name]
-            for name in sorted(hits, key=self._order.__getitem__)
-        )
+        return sorted(hits, key=self._order.__getitem__)
 
     def relevant_views(self, query: ConjunctiveQuery) -> tuple[View, ...]:
         """The views sharing at least one body predicate with *query*.
@@ -807,8 +808,8 @@ class ViewCatalog:
         """Names of :meth:`relevant_views`, registration order."""
         return tuple(view.name for view in self.relevant_views(query))
 
-    def index_neighbors(self, name: str) -> tuple[View, ...]:
-        """The views sharing a ``(predicate, arity)`` pair with *name*.
+    def index_neighbors(self, name: str) -> tuple[str, ...]:
+        """Names of the views sharing a ``(predicate, arity)`` pair with *name*.
 
         Registration order, excluding the view itself.  This is the
         catalog-audit unit's visibility set: the pairwise rules (C101/
@@ -819,13 +820,11 @@ class ViewCatalog:
         views (empty signature) appear in every view's neighbor set, per
         :meth:`views_for_predicates`.
         """
-        view = self.get(name)
+        signature = self.get(name).predicate_signature()
         return tuple(
             neighbor
-            for neighbor in self.views_for_predicates(
-                view.predicate_signature()
-            )
-            if neighbor.name != name
+            for neighbor in self._names_for(signature)
+            if neighbor != name
         )
 
     def names_sharing_predicates(

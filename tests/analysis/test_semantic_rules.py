@@ -55,6 +55,19 @@ class TestRedundantViewR101:
             _marker_definition(by_name["v3"]), _marker_definition(by_name["v1"])
         )
 
+    def test_flags_views_equivalent_only_once_minimized(self):
+        # v2's redundant atom gives its definition more atoms than v1's,
+        # yet all three views are one class of the planner's grouping.
+        query = parse_query("q(A) :- e(A, B)")
+        views = ViewCatalog(parse_program(
+            "v1(A) :- e(A, B)\n"
+            "v2(A) :- e(A, B), e(A, C)\n"
+            "v3(X) :- e(X, Y)\n"
+        ))
+        findings = diags(analyze(query, views), "R101")
+        assert sorted(d.subject for d in findings) == ["view:v2", "view:v3"]
+        assert all("'v1'" in d.message for d in findings)
+
     def test_negative_inequivalent_views(self):
         query = parse_query("q(X) :- e(X, Y)")
         views = ViewCatalog(parse_program(

@@ -20,20 +20,23 @@ NUM_VIEWS = 500
 SEED = 17
 
 
-@pytest.fixture(scope="module")
-def star500():
+@pytest.fixture(scope="class")
+def star500(request):
+    """The star catalog, all-distinguished unless the test class sets
+    ``nondistinguished``: with existential variables the tuple-cores are
+    searched, so the tuple-core memo is exercised."""
     return generate_workload(
         WorkloadConfig(
             shape="star",
             num_relations=STAR_RELATIONS,
             num_views=NUM_VIEWS,
-            nondistinguished=0,
+            nondistinguished=getattr(request.cls, "nondistinguished", 0),
             seed=SEED,
         )
     )
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def cached_and_uncached(star500):
     cached = core_cover(
         star500.query, star500.views, context=PlannerContext(caching=True)
@@ -86,6 +89,10 @@ class TestCachingEffect:
         assert cached.stats.cache_hit_rate > 0.0
         assert uncached.stats.cache_hits == 0
         assert uncached.stats.cache_hit_rate == 0.0
+
+
+class TestCachingEffectExistentialViews(TestCachingEffect):
+    nondistinguished = 1
 
 
 class TestSharedContextAcrossRuns:
@@ -148,6 +155,10 @@ class TestSharedContextAcrossRuns:
         ):
             assert stage in stages
             assert stages[stage] >= 0.0
+
+
+class TestSharedContextExistentialViews(TestSharedContextAcrossRuns):
+    nondistinguished = 1
 
 
 class TestNoCyclicGarbage:
